@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/copkmeans"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/grid"
@@ -22,10 +21,10 @@ func benchCfg() experiments.Config {
 	return experiments.Config{Repeats: 1, Scale: 0.25, Seed: 1}
 }
 
-func runFigure(b *testing.B, fn func() (*experiments.Table, error)) {
+func runFigure(b *testing.B, fn func(context.Context, experiments.Config) (*experiments.Table, error)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		t, err := fn()
+		t, err := fn(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -36,47 +35,51 @@ func runFigure(b *testing.B, fn func() (*experiments.Table, error)) {
 }
 
 func BenchmarkFigure1(b *testing.B) {
-	runFigure(b, experiments.Figure1)
+	runFigure(b, func(ctx context.Context, _ experiments.Config) (*experiments.Table, error) {
+		return experiments.Figure1(ctx)
+	})
 }
 
 func BenchmarkFigure2(b *testing.B) {
-	runFigure(b, experiments.Figure2)
+	runFigure(b, func(ctx context.Context, _ experiments.Config) (*experiments.Table, error) {
+		return experiments.Figure2(ctx)
+	})
 }
 
 func BenchmarkFigure3(b *testing.B) {
-	runFigure(b, func() (*experiments.Table, error) { return experiments.Figure3(benchCfg()) })
+	runFigure(b, experiments.Figure3)
 }
 
 func BenchmarkFigure4(b *testing.B) {
-	runFigure(b, func() (*experiments.Table, error) { return experiments.Figure4(benchCfg()) })
+	runFigure(b, experiments.Figure4)
 }
 
 func BenchmarkOutlierImmunity(b *testing.B) {
-	runFigure(b, func() (*experiments.Table, error) { return experiments.OutlierImmunity(benchCfg()) })
+	runFigure(b, experiments.OutlierImmunity)
 }
 
 func BenchmarkFigure5(b *testing.B) {
-	runFigure(b, func() (*experiments.Table, error) { return experiments.Figure5(benchCfg()) })
+	runFigure(b, experiments.Figure5)
 }
 
 func BenchmarkFigure6(b *testing.B) {
-	runFigure(b, func() (*experiments.Table, error) { return experiments.Figure6(benchCfg()) })
+	runFigure(b, experiments.Figure6)
 }
 
 func BenchmarkFigure7(b *testing.B) {
-	runFigure(b, func() (*experiments.Table, error) { return experiments.Figure7(benchCfg()) })
+	runFigure(b, experiments.Figure7)
 }
 
 func BenchmarkFigure8a(b *testing.B) {
-	runFigure(b, func() (*experiments.Table, error) { return experiments.Figure8a(benchCfg()) })
+	runFigure(b, experiments.Figure8a)
 }
 
 func BenchmarkFigure8b(b *testing.B) {
-	runFigure(b, func() (*experiments.Table, error) { return experiments.Figure8b(benchCfg()) })
+	runFigure(b, experiments.Figure8b)
 }
 
 func BenchmarkNoisyInputs(b *testing.B) {
-	runFigure(b, func() (*experiments.Table, error) { return experiments.NoisyInputs(benchCfg()) })
+	runFigure(b, experiments.NoisyInputs)
 }
 
 // --- Micro-benchmarks of the individual algorithms and hot paths ---
@@ -166,118 +169,6 @@ func BenchmarkAssignChunked(b *testing.B) {
 	for _, chunkSize := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("workers=8/chunk=%d", chunkSize), func(b *testing.B) { run(b, 8, chunkSize) })
 	}
-}
-
-// BenchmarkConstrainedAssignChunked measures one chunked COP-KMeans
-// constrained-assignment pass (the (component × center) distance scan plus
-// the serial feasibility placement) at 1/2/4/8 workers, plus the
-// chunk-granularity sweep at 8 workers. The pass output is byte-identical
-// across every sub-benchmark (the conformance suite pins the full Run);
-// only wall-clock time changes.
-func BenchmarkConstrainedAssignChunked(b *testing.B) {
-	gt := benchGroundTruth(b, 2000, 50, 4, 20)
-	kn, err := SampleKnowledge(gt, KnowledgeConfig{Kind: ObjectsOnly, Coverage: 1, Size: 5, Seed: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cons := ConstraintsFromKnowledge(kn)
-	run := func(b *testing.B, workers, chunkSize int) {
-		bench, err := copkmeans.NewAssignBench(gt.Data, cons, 4, workers, chunkSize)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.Assign(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { run(b, workers, 0) })
-	}
-	for _, chunkSize := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("workers=8/chunk=%d", chunkSize), func(b *testing.B) { run(b, 8, chunkSize) })
-	}
-}
-
-// BenchmarkEvaluateColumnar pits the columnar gather kernel against the
-// pre-kernel per-element At column scan on one Step-4 cluster evaluation
-// (SelectDim over all d dimensions of one cluster's members), on flat and
-// shard-backed storage. The two legs return bit-identical φ (pinned by the
-// kernel's oracle test); the benchmark charts the locality and
-// dispatch-elimination win, which is largest on the sharded path where the
-// At scan pays an integer division per element. Allocations are reported:
-// the columnar leg must stay at 0 allocs/op after its scratch warms up.
-func BenchmarkEvaluateColumnar(b *testing.B) {
-	gt := benchGroundTruth(b, 2000, 200, 5, 12)
-	members := gt.MembersOfClass(0)
-	storages := []struct {
-		name string
-		ds   *Dataset
-	}{{"flat", gt.Data}}
-	sd, err := ShardDataset(gt.Data, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	storages = append(storages, struct {
-		name string
-		ds   *Dataset
-	}{"shards=16", sd.Dataset()})
-	var sink float64
-	for _, st := range storages {
-		eb, err := core.NewEvalBench(st.ds, DefaultOptions(5))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(st.name+"/columnar", func(b *testing.B) {
-			sink = eb.Columnar(members) // warm the gather/transpose scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink = eb.Columnar(members)
-			}
-		})
-		b.Run(st.name+"/atscan", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink = eb.Reference(members)
-			}
-		})
-	}
-	_ = sink
-}
-
-// BenchmarkEvaluateParallel measures the cluster-chunked Step-4 evaluation
-// path — one full SelectDim + φ_i pass over all K clusters through
-// engine.MapChunks, one cluster per chunk with per-worker gather scratch —
-// at 1/2/4/8 workers. The returned Σφ is bit-identical across the
-// sub-benchmarks (pinned by TestConformanceParallelEvaluation and the core
-// parallel-evaluation tests); only wall-clock time changes. Single-core CI
-// caveat: with one core the curve is flat and the workers>1 legs only add
-// scheduling overhead — run on multi-core hardware for the speedup numbers.
-func BenchmarkEvaluateParallel(b *testing.B) {
-	gt := benchGroundTruth(b, 2000, 200, 8, 12)
-	clusters := make([][]int, 8)
-	for c := range clusters {
-		clusters[c] = gt.MembersOfClass(c)
-	}
-	var sink float64
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eb, err := core.NewParallelEvalBench(gt.Data, DefaultOptions(8), clusters, workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink = eb.Evaluate() // warm the per-worker gather/transpose scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink = eb.Evaluate()
-			}
-		})
-	}
-	_ = sink
 }
 
 // BenchmarkGatherRows measures the shard-aware bulk row accessor feeding the
@@ -396,7 +287,7 @@ func BenchmarkExperimentsParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := experiments.Config{Repeats: 2, Scale: 0.25, Seed: 1, Workers: workers}
 			for i := 0; i < b.N; i++ {
-				t, err := experiments.Figure4(cfg)
+				t, err := experiments.Figure4(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

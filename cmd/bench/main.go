@@ -56,6 +56,11 @@ import (
 	"strings"
 )
 
+// benchPackages are the packages the named suite lives in: the repository
+// root plus the two packages whose unexported kernels the evaluation and
+// constrained-assignment benchmarks drive directly.
+var benchPackages = []string{".", "./internal/core", "./internal/copkmeans"}
+
 // defaultBench is the named benchmark suite a bare `bench` run executes.
 const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterSharded|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign)$"
 
@@ -127,7 +132,7 @@ func main() {
 		count      = flag.Int("count", 1, "go test -count value")
 		out        = flag.String("out", "", "output baseline path (default BENCH_<n>.json from -n)")
 		n          = flag.Int("n", 0, "PR number the baseline belongs to; derives the default -out BENCH_<n>.json")
-		dir        = flag.String("dir", ".", "module directory to benchmark (the package is always the root package)")
+		dir        = flag.String("dir", ".", "module directory to benchmark (the packages are always the root, internal/core and internal/copkmeans)")
 		verify     = flag.String("verify", "", "verify an existing baseline file instead of running benchmarks")
 		diff       = flag.Bool("diff", false, "compare two baselines: bench -diff OLD NEW")
 		threshold  = flag.Float64("threshold", 0.10, "relative ns/op noise threshold for -diff (0.10 = ±10%)")
@@ -249,7 +254,7 @@ func runSuite(dir, benchRe, benchtime string, count int) (*Baseline, error) {
 	if benchtime != "" {
 		args = append(args, "-benchtime", benchtime)
 	}
-	args = append(args, ".")
+	args = append(args, benchPackages...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout bytes.Buffer

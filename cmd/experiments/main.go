@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -36,22 +37,26 @@ func main() {
 
 	type figure struct {
 		id  string
-		run func() (*experiments.Table, error)
+		run func(context.Context, experiments.Config) (*experiments.Table, error)
 	}
 	all := []figure{
-		{"1", experiments.Figure1},
-		{"2", experiments.Figure2},
-		{"3", func() (*experiments.Table, error) { return experiments.Figure3(cfg) }},
-		{"4", func() (*experiments.Table, error) { return experiments.Figure4(cfg) }},
-		{"outliers", func() (*experiments.Table, error) { return experiments.OutlierImmunity(cfg) }},
-		{"5", func() (*experiments.Table, error) { return experiments.Figure5(cfg) }},
-		{"6", func() (*experiments.Table, error) { return experiments.Figure6(cfg) }},
-		{"7", func() (*experiments.Table, error) { return experiments.Figure7(cfg) }},
-		{"8a", func() (*experiments.Table, error) { return experiments.Figure8a(cfg) }},
-		{"8b", func() (*experiments.Table, error) { return experiments.Figure8b(cfg) }},
-		{"noisy", func() (*experiments.Table, error) { return experiments.NoisyInputs(cfg) }},
-		{"styles", func() (*experiments.Table, error) { return experiments.SupervisionStyles(cfg) }},
-		{"subspace", func() (*experiments.Table, error) { return experiments.SubspaceBaselines(cfg) }},
+		{"1", func(ctx context.Context, _ experiments.Config) (*experiments.Table, error) {
+			return experiments.Figure1(ctx)
+		}},
+		{"2", func(ctx context.Context, _ experiments.Config) (*experiments.Table, error) {
+			return experiments.Figure2(ctx)
+		}},
+		{"3", experiments.Figure3},
+		{"4", experiments.Figure4},
+		{"outliers", experiments.OutlierImmunity},
+		{"5", experiments.Figure5},
+		{"6", experiments.Figure6},
+		{"7", experiments.Figure7},
+		{"8a", experiments.Figure8a},
+		{"8b", experiments.Figure8b},
+		{"noisy", experiments.NoisyInputs},
+		{"styles", experiments.SupervisionStyles},
+		{"subspace", experiments.SubspaceBaselines},
 	}
 
 	want := map[string]bool{}
@@ -66,7 +71,7 @@ func main() {
 		if *fig != "all" && !want[f.id] {
 			continue
 		}
-		t, err := f.run()
+		t, err := f.run(context.Background(), cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: figure %s: %v\n", f.id, err)
 			os.Exit(1)

@@ -63,6 +63,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dataset/binfmt"
 	"repro/internal/doc"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/harp"
 	"repro/internal/model"
@@ -87,7 +88,7 @@ func main() {
 		tau         = flag.Float64("tau", 0, "CLIQUE density threshold fraction; 0 = default")
 		delta       = flag.Float64("delta", 0, "bicluster mean-squared-residue threshold δ")
 		seed        = flag.Int64("seed", 1, "random seed")
-		restarts    = flag.Int("restarts", 0, "independent randomized restarts; best result by the algorithm's objective wins. 0 = algorithm default (1; clarans: numlocal 2)")
+		restarts    = flag.Int("restarts", 0, "independent randomized restarts; best result by the algorithm's objective wins. 0 = algorithm default (1; clarans: 2 local searches)")
 		workers     = flag.Int("workers", 0, "concurrent restarts (spare workers parallelize each algorithm's chunked loops inside a restart); 0 = all CPUs. Never changes the result, only the wall-clock time")
 		earlyStop   = flag.Int("earlystop", 0, "sspc/proclus/doc: stop streaming restarts once the objective has not improved for this many consecutive restarts; -restarts stays the cap. 0 = run all restarts")
 		chunk       = flag.Int("chunk", 0, "objects (harp: nodes) per intra-restart chunk; 0 = algorithm default. Any value gives identical output")
@@ -244,6 +245,7 @@ func main() {
 	var err error
 	var res *cluster.Result
 	var report *core.KnowledgeReport
+	budget := engine.Budget{Restarts: *restarts, Workers: *workers, ChunkSize: *chunk}
 	switch *algo {
 	case "sspc":
 		opts := core.DefaultOptions(*k)
@@ -254,10 +256,8 @@ func main() {
 			opts.M = *m
 		}
 		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
+		opts.Budget = budget
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		if !sup.Empty() {
 			kn, err := sup.AsKnowledge()
 			if err != nil {
@@ -276,16 +276,12 @@ func main() {
 		}
 		opts := proclus.DefaultOptions(*k, *l)
 		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
+		opts.Budget = budget
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		res, err = proclus.RunContext(ctx, ds, opts)
 	case "harp":
 		opts := harp.DefaultOptions(*k)
-		opts.Restarts = *restarts
-		opts.Workers = *workers
-		opts.ChunkSize = *chunk
+		opts.Budget = budget
 		// With seed 0, restart 0 stays on HARP's canonical deterministic
 		// scan order and only the extra restarts draw randomized orders —
 		// so more restarts can never lose to fewer. An explicit nonzero
@@ -298,9 +294,7 @@ func main() {
 	case "clarans":
 		opts := clarans.DefaultOptions(*k)
 		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
-		opts.ChunkSize = *chunk
+		opts.Budget = budget
 		res, err = clarans.RunContext(ctx, ds, opts)
 	case "doc":
 		if *w <= 0 {
@@ -308,10 +302,8 @@ func main() {
 		}
 		opts := doc.DefaultOptions(*k, *w)
 		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
+		opts.Budget = budget
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		res, err = doc.RunContext(ctx, ds, opts)
 	case "clique":
 		opts := clique.DefaultOptions()
@@ -323,9 +315,7 @@ func main() {
 		}
 		opts.MaxClusters = *k
 		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
-		opts.ChunkSize = *chunk
+		opts.Budget = budget
 		_, res, err = clique.RunContext(ctx, ds, opts)
 	case "copkmeans":
 		must, cannot, cerr := sup.AsConstraints()
@@ -334,10 +324,8 @@ func main() {
 		}
 		opts := copkmeans.DefaultOptions(*k)
 		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
+		opts.Budget = budget
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		res, err = copkmeans.RunContext(ctx, ds, &copkmeans.Constraints{MustLink: must, CannotLink: cannot}, opts)
 	case "seedkmeans":
 		kn, kerr := sup.AsKnowledge()
@@ -347,17 +335,13 @@ func main() {
 		opts := seedkmeans.DefaultOptions(*k)
 		opts.Constrained = *constrained
 		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
+		opts.Budget = budget
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		res, err = seedkmeans.RunContext(ctx, ds, kn, opts)
 	case "bicluster":
 		opts := bicluster.DefaultOptions(*k, *delta)
 		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
-		opts.ChunkSize = *chunk
+		opts.Budget = budget
 		_, res, err = bicluster.RunContext(ctx, ds, opts)
 	default:
 		fail(fmt.Errorf("unknown algorithm %q", *algo))

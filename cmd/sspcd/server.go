@@ -40,8 +40,9 @@ type job struct {
 	State string `json:"state"` // "running" | "done" | "failed"
 	// Class partitions failures for operators: "canceled" (POST
 	// /jobs/{id}/cancel), "deadline" (the job's timeout expired), "panic"
-	// (a restart goroutine panicked; the daemon survived), or "error"
-	// (everything else). Empty unless State is "failed".
+	// (a restart or one of its chunk workers panicked; the daemon
+	// survived), or "error" (everything else). Empty unless State is
+	// "failed".
 	Class string `json:"error_class,omitempty"`
 	// Progress mirrors the latest trace callback: completed main-loop
 	// iterations across all restarts, and the best objective so far.
@@ -357,23 +358,20 @@ func (r *fitRequest) run(ctx context.Context, ds *dataset.Dataset, trace *core.T
 			opts.M = r.M
 		}
 		opts.Seed = r.Seed
-		opts.Restarts = r.Restarts
-		opts.Workers = r.Workers
+		opts.Budget = engine.Budget{Restarts: r.Restarts, Workers: r.Workers}
 		opts.EarlyStop = r.EarlyStop
 		opts.Trace = trace
 		return core.RunContext(ctx, ds, opts)
 	case "proclus":
 		opts := proclus.DefaultOptions(r.K, r.L)
 		opts.Seed = r.Seed
-		opts.Restarts = r.Restarts
-		opts.Workers = r.Workers
+		opts.Budget = engine.Budget{Restarts: r.Restarts, Workers: r.Workers}
 		opts.EarlyStop = r.EarlyStop
 		return proclus.RunContext(ctx, ds, opts)
 	case "doc":
 		opts := doc.DefaultOptions(r.K, r.W)
 		opts.Seed = r.Seed
-		opts.Restarts = r.Restarts
-		opts.Workers = r.Workers
+		opts.Budget = engine.Budget{Restarts: r.Restarts, Workers: r.Workers}
 		opts.EarlyStop = r.EarlyStop
 		return doc.RunContext(ctx, ds, opts)
 	}

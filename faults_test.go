@@ -100,6 +100,65 @@ func TestFaultsFitMatrix(t *testing.T) {
 	}
 }
 
+// TestFaultsChunkErrorSweep is the chunk-seam leg: for every algorithm in
+// the conformance table, on the inline chunk path (Workers = 1) and on the
+// pool path (one restart owning four workers), the chunk-execution site is
+// armed at a sweep of hit counts across the run's chunk dispatches. An
+// injected error must come back as a plain error matching
+// faults.ErrInjected — never dressed up as a contained panic — and an
+// injected panic must come back as a *engine.PanicError; either way with a
+// nil result and no leaked goroutines.
+func TestFaultsChunkErrorSweep(t *testing.T) {
+	gt, err := Generate(SynthConfig{N: 90, D: 12, K: 3, AvgDims: 6, Seed: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]confRun{
+		"inline": {seed: 3, restarts: 2, workers: 1, chunkSize: 16},
+		"pool":   {seed: 3, restarts: 1, workers: 4, chunkSize: 16},
+	}
+	for _, algo := range conformanceAlgos() {
+		reached := false
+		for label, r := range runs {
+			// A delay of zero only counts the run's chunk dispatches.
+			armFaults(t, faults.Plan{Site: faults.SiteChunkExec, Mode: faults.ModeDelay})
+			if _, err := algo.run(gt.Data, r); err != nil {
+				t.Fatalf("%s/%s: counting run failed: %v", algo.name, label, err)
+			}
+			hits := faults.Hits(faults.SiteChunkExec)
+			faults.Disable()
+			if hits == 0 {
+				continue // e.g. HARP's serial merge scan has no chunks
+			}
+			reached = true
+			afters := map[uint64]bool{1: true, hits/2 + 1: true, hits: true}
+			for after := range afters {
+				for _, mode := range []faults.Mode{faults.ModeError, faults.ModePanic} {
+					name := fmt.Sprintf("%s/%s/%s/after=%d-of-%d", algo.name, label, mode, after, hits)
+					baseline := runtime.NumGoroutine()
+					armFaults(t, faults.Plan{Site: faults.SiteChunkExec, Mode: mode, After: after})
+					res, err := algo.run(gt.Data, r)
+					faults.Disable()
+					if err == nil || res != nil {
+						t.Fatalf("%s: (res %v, err %v), want a failed fit", name, res != nil, err)
+					}
+					if !errors.Is(err, faults.ErrInjected) {
+						t.Errorf("%s: err = %v, want a faults.ErrInjected chain", name, err)
+					}
+					var pe *engine.PanicError
+					if got, want := errors.As(err, &pe), mode == faults.ModePanic; got != want {
+						t.Errorf("%s: errors.As(*engine.PanicError) = %v, want %v (err = %v)", name, got, want, err)
+					}
+					settleGoroutines(t, baseline, name)
+				}
+			}
+		}
+		if !reached {
+			t.Errorf("%s: no run dispatched a chunk — the sweep lost coverage", algo.name)
+		}
+	}
+}
+
 // TestFaultsMmapOpen: an armed mmap-open site fails OpenBinaryDataset with
 // the typed injected error before any page is mapped.
 func TestFaultsMmapOpen(t *testing.T) {

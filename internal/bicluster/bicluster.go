@@ -45,29 +45,14 @@ type Options struct {
 	MinRows, MinCols int
 	Seed             int64
 
-	// Restarts is the number of independent randomized restarts (the
-	// masking values differ); the result with the lowest mean residue is
-	// returned (ties keep the lowest restart index). <= 0 means 1. Restart
-	// r derives its RNG from engine.ChildSeed(Seed, r), so restart 0
-	// reproduces the single-run output. With K = 1 no masking happens and
-	// every restart is identical.
-	Restarts int
-
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over parallelize the
-	// chunked residue scans inside each restart. <= 0 means
-	// runtime.GOMAXPROCS(0). The worker count never changes the result.
-	Workers int
-
-	// ChunkSize is the number of rows (resp. columns) per unit of work in
-	// the chunked residue scans. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only tunes
-	// scheduling granularity. <= 0 means a default of 512. The chunk
-	// domains are the bicluster's shrinking row/column lists, not the
-	// dataset row range, so the chunk size is not shard-aligned (compare
-	// engine.AlignChunk); the search runs on a private dense copy anyway
-	// (masking must not touch the caller's dataset).
-	ChunkSize int
+	// Budget sets the restarts (the masking values differ; with K = 1 no
+	// masking happens and every restart is identical), the worker budget,
+	// and the chunk size of the residue scans (see engine.Budget). The
+	// result with the lowest mean residue wins. The chunk domains are the
+	// bicluster's shrinking row/column lists, not the dataset row range, so
+	// the chunk size is not shard-aligned; the search runs on a private
+	// dense copy anyway (masking must not touch the caller's dataset).
+	engine.Budget
 }
 
 // DefaultOptions returns the paper's usual parameters.
@@ -115,13 +100,7 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Biclu
 	if opts.MinCols < 2 {
 		opts.MinCols = 2
 	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
-	restarts := opts.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
+	opts.Budget = opts.Budget.Normalized(engine.Budget{})
 	d := ds.D()
 
 	// The masking range is a function of the dataset only; compute it once.
@@ -142,18 +121,15 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Biclu
 		bics []Bicluster
 		res  *cluster.Result
 	}
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	outs, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed,
-		func(_ int, rng *stats.RNG) (runOut, error) {
+	best, _, err := engine.Fit(ctx, opts.Budget, opts.Seed, 0,
+		func(a, b runOut) bool { return a.res.Score < b.res.Score },
+		func(_ int, rng *stats.RNG, intra int) (runOut, error) {
 			bics, res, err := runOnce(ctx, ds, opts, maskLo, maskHi, rng, intra)
 			return runOut{bics, res}, err
 		})
 	if err != nil {
 		return nil, nil, err
 	}
-	best := outs[engine.Best(outs, func(a, b runOut) bool {
-		return a.res.Score < b.res.Score
-	})]
 	return best.bics, best.res, nil
 }
 
@@ -186,7 +162,10 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 			if err := engine.Cause(ctx); err != nil {
 				return nil, nil, err
 			}
-			h, rowRes, colRes := residuesChunked(a, rows, cols, workers, opts.ChunkSize)
+			h, rowRes, colRes, err := residuesChunked(ctx, a, rows, cols, workers, opts.ChunkSize)
+			if err != nil {
+				return nil, nil, err
+			}
 			if h <= opts.Delta {
 				break
 			}
@@ -221,7 +200,10 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 			if err := engine.Cause(ctx); err != nil {
 				return nil, nil, err
 			}
-			h, rowRes, colRes := residuesChunked(a, rows, cols, workers, opts.ChunkSize)
+			h, rowRes, colRes, err := residuesChunked(ctx, a, rows, cols, workers, opts.ChunkSize)
+			if err != nil {
+				return nil, nil, err
+			}
 			if h <= opts.Delta {
 				break
 			}
@@ -260,9 +242,14 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 
 		// Node addition: add back columns then rows whose residue does not
 		// exceed the current H.
-		h, _, _ := residuesChunked(a, rows, cols, workers, opts.ChunkSize)
+		h, _, _, err := residuesChunked(ctx, a, rows, cols, workers, opts.ChunkSize)
+		if err != nil {
+			return nil, nil, err
+		}
 		rows, cols = addNodes(a, rows, cols, h, n, d)
-		h, _, _ = residuesChunked(a, rows, cols, workers, opts.ChunkSize)
+		if h, _, _, err = residuesChunked(ctx, a, rows, cols, workers, opts.ChunkSize); err != nil {
+			return nil, nil, err
+		}
 
 		out = append(out, Bicluster{
 			Rows: append([]int(nil), rows...),
@@ -316,25 +303,20 @@ func flatten(bics []Bicluster, n, d int) (*cluster.Result, error) {
 	return res, nil
 }
 
-// residues computes H(I,J) and the per-row / per-column mean squared
-// residues d(i) and d(j), serially. It is the reference the chunked version
-// must reproduce bit for bit.
-func residues(a [][]float64, rows, cols []int) (h float64, rowRes, colRes []float64) {
-	return residuesChunked(a, rows, cols, 1, 0)
-}
-
 // residuesChunked is the node-deletion scoring hot loop. Every per-row
 // statistic scans its row serially in ascending column order and every
 // per-column statistic scans its column serially in ascending row order, so
 // each entry of rowSum/colSum/rowRes/colRes is a fixed addition sequence —
 // independent of Workers and ChunkSize — and the cross-row folds (the grand
 // total and H) run serially in ascending index order. The four scans chunk
-// over the row list (resp. column list) with disjoint writes.
-func residuesChunked(a [][]float64, rows, cols []int, workers, chunkSize int) (h float64, rowRes, colRes []float64) {
+// over the row list (resp. column list) with disjoint writes. A non-nil
+// error (cancellation, an injected fault, a contained panic) comes with no
+// residues.
+func residuesChunked(ctx context.Context, a [][]float64, rows, cols []int, workers, chunkSize int) (h float64, rowRes, colRes []float64, err error) {
 	nr, nc := len(rows), len(cols)
 	rowMean := make([]float64, nr)
 	colMean := make([]float64, nc)
-	engine.ParallelChunks(nr, chunkSize, workers, func(_, lo, hi int) {
+	err = engine.ParallelChunks(ctx, nr, chunkSize, workers, func(_, lo, hi int) {
 		for ti := lo; ti < hi; ti++ {
 			sum := 0.0
 			ai := a[rows[ti]]
@@ -344,7 +326,10 @@ func residuesChunked(a [][]float64, rows, cols []int, workers, chunkSize int) (h
 			rowMean[ti] = sum
 		}
 	})
-	engine.ParallelChunks(nc, chunkSize, workers, func(_, lo, hi int) {
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	err = engine.ParallelChunks(ctx, nc, chunkSize, workers, func(_, lo, hi int) {
 		for tj := lo; tj < hi; tj++ {
 			sum := 0.0
 			j := cols[tj]
@@ -354,6 +339,9 @@ func residuesChunked(a [][]float64, rows, cols []int, workers, chunkSize int) (h
 			colMean[tj] = sum
 		}
 	})
+	if err != nil {
+		return 0, nil, nil, err
+	}
 	total := 0.0
 	for ti := range rowMean {
 		total += rowMean[ti]
@@ -366,7 +354,7 @@ func residuesChunked(a [][]float64, rows, cols []int, workers, chunkSize int) (h
 
 	rowRes = make([]float64, nr)
 	colRes = make([]float64, nc)
-	engine.ParallelChunks(nr, chunkSize, workers, func(_, lo, hi int) {
+	err = engine.ParallelChunks(ctx, nr, chunkSize, workers, func(_, lo, hi int) {
 		for ti := lo; ti < hi; ti++ {
 			sum := 0.0
 			ai := a[rows[ti]]
@@ -377,7 +365,10 @@ func residuesChunked(a [][]float64, rows, cols []int, workers, chunkSize int) (h
 			rowRes[ti] = sum
 		}
 	})
-	engine.ParallelChunks(nc, chunkSize, workers, func(_, lo, hi int) {
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	err = engine.ParallelChunks(ctx, nc, chunkSize, workers, func(_, lo, hi int) {
 		for tj := lo; tj < hi; tj++ {
 			sum := 0.0
 			j := cols[tj]
@@ -388,6 +379,9 @@ func residuesChunked(a [][]float64, rows, cols []int, workers, chunkSize int) (h
 			colRes[tj] = sum
 		}
 	})
+	if err != nil {
+		return 0, nil, nil, err
+	}
 	for ti := range rowRes {
 		h += rowRes[ti]
 		rowRes[ti] /= float64(nc)
@@ -396,7 +390,7 @@ func residuesChunked(a [][]float64, rows, cols []int, workers, chunkSize int) (h
 	for tj := range colRes {
 		colRes[tj] /= float64(nr)
 	}
-	return h, rowRes, colRes
+	return h, rowRes, colRes, nil
 }
 
 // addNodes adds back columns and rows whose mean squared residue against

@@ -60,7 +60,7 @@ func TestResidueZeroForAdditiveMatrix(t *testing.T) {
 		{21, 22, 23},
 	}
 	a := rows
-	h, rowRes, colRes := residues(a, []int{0, 1, 2}, []int{0, 1, 2})
+	h, rowRes, colRes := residues(t, a, []int{0, 1, 2}, []int{0, 1, 2})
 	if h > 1e-12 {
 		t.Errorf("additive matrix H = %v, want 0", h)
 	}
@@ -77,7 +77,7 @@ func TestResidueDetectsIncoherence(t *testing.T) {
 		{11, 12, 13},
 		{21, 22, 100}, // breaks additivity
 	}
-	h, _, colRes := residues(a, []int{0, 1, 2}, []int{0, 1, 2})
+	h, _, colRes := residues(t, a, []int{0, 1, 2}, []int{0, 1, 2})
 	if h < 1 {
 		t.Errorf("incoherent matrix H = %v, want large", h)
 	}

@@ -1,6 +1,7 @@
 package bicluster
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -50,6 +51,17 @@ func TestGoldenPin(t *testing.T) {
 	}
 }
 
+// residues is the serial residue scan: one goroutine, one chunk — the
+// reference the chunked scans must reproduce bit for bit.
+func residues(t *testing.T, a [][]float64, rows, cols []int) (h float64, rowRes, colRes []float64) {
+	t.Helper()
+	h, rowRes, colRes, err := residuesChunked(context.Background(), a, rows, cols, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, rowRes, colRes
+}
+
 // TestResiduesChunkedMatchesSerial checks bit-exact equality of the chunked
 // residue scans against the serial reference over shrinking row/column
 // lists, the way node deletion drives them.
@@ -72,10 +84,13 @@ func TestResiduesChunkedMatchesSerial(t *testing.T) {
 		cols = append(cols, j)
 	}
 	for len(rows) > 2 && len(cols) > 2 {
-		hS, rowS, colS := residues(a, rows, cols)
+		hS, rowS, colS := residues(t, a, rows, cols)
 		for _, workers := range []int{2, 8} {
 			for _, chunk := range []int{1, 3} {
-				hC, rowC, colC := residuesChunked(a, rows, cols, workers, chunk)
+				hC, rowC, colC, err := residuesChunked(context.Background(), a, rows, cols, workers, chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if math.Float64bits(hS) != math.Float64bits(hC) {
 					t.Fatalf("workers=%d chunk=%d: h %v != serial %v", workers, chunk, hC, hS)
 				}

@@ -21,36 +21,22 @@ import (
 type Options struct {
 	// K is the number of clusters.
 	K int
-	// NumLocal is the number of random restarts; MaxNeighbor the number of
-	// consecutive non-improving random swaps that declare a local optimum.
-	// Zero values take the paper's defaults (2 and max(250,
-	// 0.0125·K·(N−K))).
-	NumLocal    int
+	// MaxNeighbor is the number of consecutive non-improving random swaps
+	// that declare a local optimum; zero takes the paper's default of
+	// max(250, 0.0125·K·(N−K)).
 	MaxNeighbor int
 	Seed        int64
 
-	// Restarts, when > 0, overrides NumLocal — it is the same knob under
-	// the name every other package in this repository uses. Each restart
-	// (local search) derives its RNG from engine.ChildSeed(Seed, r).
-	Restarts int
-
-	// Workers bounds how many local searches run concurrently; <= 0 means
-	// runtime.GOMAXPROCS(0). The worker count never changes the result.
-	// After the local searches finish, the full budget parallelizes the
-	// final chunked assignment scan.
-	Workers int
-
-	// ChunkSize is the number of objects per unit of work in the chunked
-	// final assignment scan. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only
-	// tunes scheduling granularity. <= 0 means a default of 512. (The
-	// swap-cost loop inside a local search stays serial: its running sum
-	// is order-sensitive floating point.)
-	ChunkSize int
+	// Budget sets the local searches (Restarts — the paper's numlocal,
+	// default 2), the worker budget that runs them concurrently and then
+	// parallelizes the final assignment scan, and that scan's chunk size
+	// (see engine.Budget). The swap-cost loop inside a local search stays
+	// serial: its running sum is order-sensitive floating point.
+	engine.Budget
 }
 
 // DefaultOptions returns the paper's recommended parameters.
-func DefaultOptions(k int) Options { return Options{K: k, NumLocal: 2} }
+func DefaultOptions(k int) Options { return Options{K: k} }
 
 // localOptimum is the outcome of one randomized local search.
 type localOptimum struct {
@@ -60,10 +46,10 @@ type localOptimum struct {
 }
 
 // Run executes CLARANS with full-dimensional Euclidean distance. The
-// NumLocal (or Restarts) local searches run concurrently on up to Workers
-// goroutines through the restart engine; the lowest-cost local optimum wins,
-// with ties going to the lowest restart index, so the result is a pure
-// function of (ds, opts) regardless of the worker count.
+// Restarts local searches (the paper's numlocal) run concurrently on up to
+// Workers goroutines through the restart engine; the lowest-cost local
+// optimum wins, with ties going to the lowest restart index, so the result
+// is a pure function of (ds, opts) regardless of the worker count.
 func Run(ds *dataset.Dataset, opts Options) (*cluster.Result, error) {
 	return RunContext(context.Background(), ds, opts)
 }
@@ -80,13 +66,7 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if opts.K <= 0 || opts.K > n {
 		return nil, fmt.Errorf("clarans: K = %d out of range", opts.K)
 	}
-	numLocal := opts.NumLocal
-	if opts.Restarts > 0 {
-		numLocal = opts.Restarts
-	}
-	if numLocal <= 0 {
-		numLocal = 2
-	}
+	opts.Budget = opts.Budget.Normalized(engine.Budget{Restarts: 2})
 	if opts.MaxNeighbor <= 0 {
 		opts.MaxNeighbor = int(0.0125 * float64(opts.K) * float64(n-opts.K))
 		if opts.MaxNeighbor < 250 {
@@ -94,16 +74,14 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 		}
 	}
 
-	locals, err := engine.Run(ctx, numLocal, opts.Workers, opts.Seed,
-		func(_ int, rng *stats.RNG) (localOptimum, error) {
+	best, locals, err := engine.Fit(ctx, opts.Budget, opts.Seed, 0,
+		func(a, b localOptimum) bool { return a.cost < b.cost },
+		func(_ int, rng *stats.RNG, _ int) (localOptimum, error) {
 			return localSearch(ctx, ds, opts, rng)
 		})
 	if err != nil {
 		return nil, err
 	}
-	best := locals[engine.Best(locals, func(a, b localOptimum) bool {
-		return a.cost < b.cost
-	})]
 	iterations := 0
 	for _, l := range locals {
 		iterations += l.iterations
@@ -111,17 +89,12 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 
 	// Final assignment: per-point nearest medoid, chunked over fixed point
 	// ranges with disjoint writes — the whole worker budget is free again
-	// once the local searches have finished.
-	chunkSize := opts.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = 512
-	}
-	// On a shard-backed dataset, chunk = shard: each worker's assignment
-	// scan stays inside one shard's backing memory. Output is unchanged
-	// either way.
-	chunkSize = engine.AlignChunk(chunkSize, ds.ShardRows())
+	// once the local searches have finished. On a shard-backed dataset,
+	// chunk = shard: each worker's assignment scan stays inside one shard's
+	// backing memory. Output is unchanged either way.
+	chunkSize := engine.AlignChunk(opts.ChunkSize, ds.ShardRows())
 	assign := make([]int, n)
-	if err := engine.ParallelChunksCtx(ctx, n, chunkSize, engine.DefaultWorkers(opts.Workers), func(_, lo, hi int) {
+	if err := engine.ParallelChunks(ctx, n, chunkSize, engine.DefaultWorkers(opts.Workers), func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			bestDist := math.Inf(1)
 			for i, m := range best.medoids {

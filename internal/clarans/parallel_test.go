@@ -4,39 +4,40 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/synth"
 )
 
 // The generic parallelism contract (worker invariance, chunk-size
 // invariance, restart-0 ≡ base-seed, concurrent shared datasets) is asserted
 // for this package by the cross-algorithm conformance suite at the
-// repository root (conformance_test.go). Only the CLARANS-specific spelling
-// of the restart knob is pinned here.
+// repository root (conformance_test.go). Only the CLARANS-specific restart
+// default is pinned here.
 
-// TestRestartsOverrideNumLocal checks the cross-package Restarts spelling:
-// Restarts = NumLocal must behave identically under the same seed.
-func TestRestartsOverrideNumLocal(t *testing.T) {
+// TestZeroRestartsMeansTwoLocalSearches pins the paper's numlocal default:
+// an unset Restarts runs exactly the two local searches Restarts = 2 runs,
+// and not the single one every other algorithm defaults to.
+func TestZeroRestartsMeansTwoLocalSearches(t *testing.T) {
 	gt, err := synth.Generate(synth.Config{N: 150, D: 8, K: 2, AvgDims: 8, Seed: 81})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNumLocal := DefaultOptions(2)
-	viaNumLocal.Seed = 3
-	viaNumLocal.NumLocal = 3
-	viaNumLocal.MaxNeighbor = 60
-	a, err := Run(gt.Data, viaNumLocal)
-	if err != nil {
-		t.Fatal(err)
+	run := func(restarts int) *cluster.Result {
+		opts := DefaultOptions(2)
+		opts.Seed = 3
+		opts.Restarts = restarts
+		opts.MaxNeighbor = 60
+		res, err := Run(gt.Data, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	viaRestarts := DefaultOptions(2)
-	viaRestarts.Seed = 3
-	viaRestarts.Restarts = 3
-	viaRestarts.MaxNeighbor = 60
-	b, err := Run(gt.Data, viaRestarts)
-	if err != nil {
-		t.Fatal(err)
+	def, two, one := run(0), run(2), run(1)
+	if !reflect.DeepEqual(def, two) {
+		t.Fatal("Restarts=0 diverged from Restarts=2")
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Restarts=3 diverged from NumLocal=3")
+	if def.Iterations == one.Iterations {
+		t.Fatal("Restarts=0 ran a single local search")
 	}
 }

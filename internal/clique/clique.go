@@ -48,26 +48,14 @@ type Options struct {
 	// choices, so the seed never changes the result.
 	Seed int64
 
-	// Restarts runs the (deterministic) search that many times through the
-	// restart engine; every restart returns the identical result and the
-	// reduction keeps restart 0. <= 0 means 1. The knob exists so CLIQUE
-	// obeys the same engine contract as the randomized algorithms.
-	Restarts int
-
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over parallelize the
-	// per-object cell scan and the per-dimension density scan inside each
-	// restart. <= 0 means runtime.GOMAXPROCS(0). The worker count never
-	// changes the result.
-	Workers int
-
-	// ChunkSize is the number of objects per unit of work in the chunked
-	// cell scan (shard-aligned on a shard-backed dataset via
-	// engine.AlignChunk) and the number of dimensions per unit of work in
-	// the 1-D density scan (never shard-aligned: its domain is the
-	// dimension list). Chunk boundaries are fixed by this value alone, so
-	// any ChunkSize produces byte-identical output. <= 0 means 512.
-	ChunkSize int
+	// Budget sets the restarts of the (deterministic) search — every
+	// restart returns the identical result and the reduction keeps restart
+	// 0; the knob exists so CLIQUE obeys the same engine contract as the
+	// randomized algorithms — the worker budget, and the chunk size of the
+	// per-object cell scan (shard-aligned on a shard-backed dataset via
+	// engine.AlignChunk) and of the 1-D density scan (never shard-aligned:
+	// its domain is the dimension list). See engine.Budget.
+	engine.Budget
 }
 
 // DefaultOptions returns a workable configuration for normalized data.
@@ -116,34 +104,25 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Subsp
 	if opts.Tau <= 0 || opts.Tau >= 1 {
 		return nil, nil, fmt.Errorf("clique: Tau = %v out of (0,1)", opts.Tau)
 	}
-	restarts := opts.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
+	opts.Budget = opts.Budget.Normalized(engine.Budget{})
 
 	// The search is deterministic, so every restart computes the identical
-	// answer; engine.Run still hosts them so Workers/Restarts behave exactly
+	// answer; the engine still hosts them so Workers/Restarts behave exactly
 	// as everywhere else, and the reduction (ties keep the lowest index)
 	// always returns restart 0's result.
 	type runOut struct {
 		subs []Subspace
 		res  *cluster.Result
 	}
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	outs, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed,
-		func(_ int, _ *stats.RNG) (runOut, error) {
+	best, _, err := engine.Fit(ctx, opts.Budget, opts.Seed, 0,
+		func(a, b runOut) bool { return a.res.Score > b.res.Score },
+		func(_ int, _ *stats.RNG, intra int) (runOut, error) {
 			subs, res, err := runOnce(ctx, ds, opts, intra)
 			return runOut{subs, res}, err
 		})
 	if err != nil {
 		return nil, nil, err
 	}
-	best := outs[engine.Best(outs, func(a, b runOut) bool {
-		return a.res.Score > b.res.Score
-	})]
 	return best.subs, best.res, nil
 }
 
@@ -173,7 +152,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int
 		width[j] = (hi - lo[j]) / float64(opts.Xi)
 	}
 	rowChunk := engine.AlignChunk(opts.ChunkSize, ds.ShardRows())
-	if err := engine.ParallelChunksCtx(ctx, n, rowChunk, workers, func(_, rlo, rhi int) {
+	if err := engine.ParallelChunks(ctx, n, rowChunk, workers, func(_, rlo, rhi int) {
 		for i := rlo; i < rhi; i++ {
 			cellOf[i] = cells[i*d : (i+1)*d : (i+1)*d]
 			row := ds.Row(i)
@@ -201,7 +180,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int
 		members [][]int
 	}
 	perDim := make([]dimUnits, d)
-	if err := engine.ParallelChunksCtx(ctx, d, opts.ChunkSize, workers, func(_, jlo, jhi int) {
+	if err := engine.ParallelChunks(ctx, d, opts.ChunkSize, workers, func(_, jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			counts := make([][]int, opts.Xi)
 			for i := 0; i < n; i++ {

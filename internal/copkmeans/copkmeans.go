@@ -71,33 +71,20 @@ type Options struct {
 	MaxIterations int
 	Seed          int64
 
-	// Restarts is the number of independent randomized restarts (fresh
-	// random initial centers); the result with the lowest cost is returned
-	// (ties keep the lowest restart index). <= 0 means 1. Restart r derives
-	// its RNG from engine.ChildSeed(Seed, r), so restart 0 reproduces the
-	// historical single-run output. A restart whose constraints prove
-	// infeasible fails the whole run, as any single run would.
-	Restarts int
-
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over parallelize the
-	// chunked per-component distance pass inside each restart. <= 0 means
-	// runtime.GOMAXPROCS(0). The worker count never changes the result.
-	Workers int
+	// Budget sets the restarts (fresh random initial centers; restart 0
+	// reproduces the historical single-run output, and a restart whose
+	// constraints prove infeasible fails the whole run), the worker budget,
+	// and the chunk size of the per-component distance pass (see
+	// engine.Budget). The chunk domain is the must-link component list, not
+	// the row range, so the chunk size is not shard-aligned. The result
+	// with the lowest cost wins.
+	engine.Budget
 
 	// EarlyStop, when > 0, streams the restarts: they launch lazily and the
 	// run stops once the best cost has not improved for EarlyStop
 	// consecutive restarts (judged in restart-index order), with Restarts as
 	// the hard cap. 0 runs the fixed best-of-Restarts protocol.
 	EarlyStop int
-
-	// ChunkSize is the number of must-link components per unit of work in
-	// the chunked distance pass. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only tunes
-	// scheduling granularity. <= 0 means a default of 512. The chunk domain
-	// is the component list, not the row range, so the chunk size is not
-	// shard-aligned (compare engine.AlignChunk).
-	ChunkSize int
 }
 
 // DefaultOptions returns a standard configuration.
@@ -210,24 +197,15 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cons *Constraints, opt
 	if err != nil {
 		return nil, err
 	}
-	restarts := opts.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
-
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	results, err := engine.Stream(ctx, restarts, opts.Workers, opts.Seed,
-		opts.EarlyStop, cluster.BetterResult,
-		func(_ int, rng *stats.RNG) (*cluster.Result, error) {
+	opts.Budget = opts.Budget.Normalized(engine.Budget{})
+	_, all, err := engine.Fit(ctx, opts.Budget, opts.Seed, opts.EarlyStop, cluster.BetterResult,
+		func(_ int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, pre, opts, rng, intra)
 		})
 	if err != nil {
 		return nil, err
 	}
-	return cluster.BestResult(results), nil
+	return cluster.BestResult(all), nil
 }
 
 // runOnce is one restart: random initial centers, then alternate the
@@ -256,7 +234,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, pre *prep, opts Options, 
 		// component list with disjoint writes into dists. Each component's
 		// member sum runs serially in ascending member order, so the values
 		// are independent of Workers and ChunkSize.
-		if err := engine.ParallelChunksCtx(ctx, nc, opts.ChunkSize, workers, func(_, lo, hi int) {
+		if err := engine.ParallelChunks(ctx, nc, opts.ChunkSize, workers, func(_, lo, hi int) {
 			for t := lo; t < hi; t++ {
 				members := pre.members[t]
 				for c := 0; c < opts.K; c++ {
@@ -371,100 +349,6 @@ func feasible(t, c int, pre *prep, compAssign []int) bool {
 		}
 	}
 	return true
-}
-
-// AssignBench exposes one chunked constrained-assignment pass (the distance
-// pass plus the serial feasibility placement) for benchmarking; see
-// cmd/bench and BenchmarkConstrainedAssignChunked.
-type AssignBench struct {
-	ds      *dataset.Dataset
-	pre     *prep
-	opts    Options
-	centers [][]float64
-	dists   []float64
-	comp    []int
-	workers int
-}
-
-// NewAssignBench prepares a benchmark harness over ds with the given
-// constraints: centers are the deterministic seed-0 sample, so every call
-// measures the same work.
-func NewAssignBench(ds *dataset.Dataset, cons *Constraints, k, workers, chunkSize int) (*AssignBench, error) {
-	if ds == nil {
-		return nil, errors.New("copkmeans: nil dataset")
-	}
-	if cons == nil {
-		cons = &Constraints{}
-	}
-	pre, err := prepare(ds.N(), cons)
-	if err != nil {
-		return nil, err
-	}
-	opts := DefaultOptions(k)
-	opts.ChunkSize = chunkSize
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
-	rng := stats.NewRNG(0)
-	centers := make([][]float64, k)
-	for c, idx := range rng.Sample(ds.N(), k) {
-		centers[c] = append([]float64(nil), ds.Row(idx)...)
-	}
-	return &AssignBench{
-		ds: ds, pre: pre, opts: opts, centers: centers,
-		dists:   make([]float64, len(pre.roots)*k),
-		comp:    make([]int, len(pre.roots)),
-		workers: engine.DefaultWorkers(workers),
-	}, nil
-}
-
-// Assign runs one constrained assignment pass and returns its cost.
-func (b *AssignBench) Assign() (float64, error) {
-	nc := len(b.pre.roots)
-	k := b.opts.K
-	engine.ParallelChunks(nc, b.opts.ChunkSize, b.workers, func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			members := b.pre.members[t]
-			for c := 0; c < k; c++ {
-				total := 0.0
-				for _, i := range members {
-					total += distSq(b.ds.Row(i), b.centers[c])
-				}
-				b.dists[t*k+c] = total
-			}
-		}
-	})
-	for t := range b.comp {
-		b.comp[t] = -1
-	}
-	cost := 0.0
-	cands := make([]struct {
-		c    int
-		dist float64
-	}, k)
-	for t := 0; t < nc; t++ {
-		for c := 0; c < k; c++ {
-			cands[c].c, cands[c].dist = c, b.dists[t*k+c]
-		}
-		for i := 1; i < len(cands); i++ {
-			for j := i; j > 0 && cands[j].dist < cands[j-1].dist; j-- {
-				cands[j], cands[j-1] = cands[j-1], cands[j]
-			}
-		}
-		placed := false
-		for _, cd := range cands {
-			if feasible(t, cd.c, b.pre, b.comp) {
-				b.comp[t] = cd.c
-				cost += cd.dist
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return 0, fmt.Errorf("%w: component %d has no feasible cluster", ErrInfeasible, b.pre.roots[t])
-		}
-	}
-	return cost, nil
 }
 
 func distSq(a, b []float64) float64 {

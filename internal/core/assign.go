@@ -23,7 +23,7 @@ import (
 // (TestAssignZeroAllocSteadyState, TestEvaluateZeroAllocSteadyState): every
 // buffer — the packed assignment triples, the per-cluster dims outputs, the
 // gather/transpose scratch, the K-slot φ fold buffer handed to
-// MapChunksInto — lives on the assigner or its per-worker scratch slots, and
+// MapChunks — lives on the assigner or its per-worker scratch slots, and
 // the chunk closures are built once at construction instead of per call. The call state the closures need (dataset, clusters, outputs) is
 // published to assigner fields before each ParallelChunks call; on the
 // parallel path ParallelChunks' WaitGroup provides the happens-before edge,
@@ -35,7 +35,7 @@ type assigner struct {
 	chunkSize int
 	scratch   *engine.Scratch[*evalScratch]
 	dimsOut   [][]int   // per-cluster selected-dims storage, cap d each
-	phiBuf    []float64 // per-chunk φ results buffer for MapChunksInto, cap k
+	phiBuf    []float64 // per-chunk φ results buffer for MapChunks, cap k
 
 	// Packed per-cluster assignment triples: for cluster i and its t-th
 	// selected dimension j = packDims[i][t], packRep[i][t] is the
@@ -168,13 +168,13 @@ func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*
 		a.packDims[i], a.packRep[i], a.packSHat[i] = pd, pr, ps
 	}
 	a.ds, a.out = ds, assign
-	err := engine.ParallelChunksCtx(ctx, len(assign), a.chunkSize, a.workers, a.assignFn)
+	err := engine.ParallelChunks(ctx, len(assign), a.chunkSize, a.workers, a.assignFn)
 	a.ds, a.out = nil, nil
 	return err
 }
 
 // evaluate reruns SelectDim on every cluster's current members and returns
-// Σ_i φ_i, as one engine.MapChunksInto map-reduce over the cluster list: one
+// Σ_i φ_i, as one engine.MapChunks map-reduce over the cluster list: one
 // cluster per chunk, each evaluated on its own worker-slot gather scratch,
 // with the per-chunk φ values folded serially in ascending cluster index
 // out of the assigner-owned phiBuf (so the multi-worker fold reuses one
@@ -189,7 +189,7 @@ func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*
 // call.
 func (a *assigner) evaluate(ctx context.Context, ds *dataset.Dataset, clusters []*state, thr *thresholds) (float64, error) {
 	a.ds, a.clusters, a.thr = ds, clusters, thr
-	total, err := engine.MapChunksIntoCtx(ctx, len(clusters), 1, a.scratch.Slots(), a.phiBuf, a.evalFn, addPhi)
+	total, err := engine.MapChunks(ctx, len(clusters), 1, a.scratch.Slots(), a.phiBuf, a.evalFn, addPhi)
 	a.ds, a.clusters, a.thr = nil, nil, nil
 	return total, err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/engine"
 )
 
 // Assigner scores points against a fitted model's per-cluster (dims, rep,
@@ -15,10 +14,9 @@ import (
 // An Assigner is immutable after construction — scoring reads only the
 // packed triples and writes only the caller's output — so any number of
 // goroutines may call AssignPoint / AssignBatch concurrently with no
-// locking and no per-caller scratch. The serial batch form allocates
-// nothing in steady state (TestAssignerZeroAlloc pins it, like
-// TestAssignZeroAllocSteadyState pins the in-fit kernel); the parallel
-// batch form pays only its goroutine fan-out.
+// locking and no per-caller scratch. The batch form allocates nothing in
+// steady state (TestAssignerZeroAlloc pins it, like
+// TestAssignZeroAllocSteadyState pins the in-fit kernel).
 type Assigner struct {
 	d        int
 	packDims [][]int
@@ -84,26 +82,5 @@ func (a *Assigner) AssignBatch(rows []float64, out []int) error {
 	for x := range out {
 		out[x] = scorePoint(rows[x*a.d:(x+1)*a.d], a.packDims, a.packRep, a.packSHat)
 	}
-	return nil
-}
-
-// AssignBatchParallel is AssignBatch chunked across up to `workers`
-// goroutines through the engine's fixed-boundary chunk scheduler: every
-// chunk writes only its own out[lo:hi], so the result is byte-identical to
-// the serial form for any workers/chunkSize value. chunkSize <= 0 uses the
-// assignment default (512). Use it for very large batches; per-request
-// serving batches are usually cheaper on the serial form.
-func (a *Assigner) AssignBatchParallel(rows []float64, out []int, workers, chunkSize int) error {
-	if len(rows) != len(out)*a.d {
-		return fmt.Errorf("assigner: %d row values for %d points of dimensionality %d", len(rows), len(out), a.d)
-	}
-	if chunkSize <= 0 {
-		chunkSize = 512
-	}
-	engine.ParallelChunks(len(out), chunkSize, workers, func(_, lo, hi int) {
-		for x := lo; x < hi; x++ {
-			out[x] = scorePoint(rows[x*a.d:(x+1)*a.d], a.packDims, a.packRep, a.packSHat)
-		}
-	})
 	return nil
 }

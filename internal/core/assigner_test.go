@@ -62,33 +62,6 @@ func TestAssignerReproducesTrainingAssignments(t *testing.T) {
 	}
 }
 
-func TestAssignerParallelMatchesSerial(t *testing.T) {
-	res, rows, d := fitForServing(t)
-	a, err := NewAssigner(d, res.Fitted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(res.Assignments)
-	serial := make([]int, n)
-	if err := a.AssignBatch(rows, serial); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 7} {
-		for _, chunk := range []int{0, 1, 64, n + 1} {
-			par := make([]int, n)
-			if err := a.AssignBatchParallel(rows, par, workers, chunk); err != nil {
-				t.Fatal(err)
-			}
-			for x := range par {
-				if par[x] != serial[x] {
-					t.Fatalf("workers=%d chunk=%d object %d: %d != %d",
-						workers, chunk, x, par[x], serial[x])
-				}
-			}
-		}
-	}
-}
-
 // An Assigner is immutable: concurrent batches on disjoint outputs must agree
 // with the serial answer (run under -race in CI).
 func TestAssignerConcurrentCallers(t *testing.T) {
@@ -171,9 +144,6 @@ func TestAssignerValidation(t *testing.T) {
 	}
 	if err := a.AssignBatch(make([]float64, 7), make([]int, 2)); err == nil {
 		t.Error("row/out shape mismatch should error")
-	}
-	if err := a.AssignBatchParallel(make([]float64, 7), make([]int, 2), 2, 0); err == nil {
-		t.Error("parallel row/out shape mismatch should error")
 	}
 	// Construction deep-copies: mutating the source triples must not change
 	// the assigner's answers.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/dataset"
@@ -25,9 +24,9 @@ import (
 // hands stats.MedianInPlace a buffer holding those values in that same
 // initial order, so the quickselect pivot walk is identical. The gather and
 // transpose only move bytes; no floating-point operation is added, removed,
-// or reordered. evaluateDimsReference below keeps the pre-kernel scan as the
-// executable form of this argument (TestColumnarMatchesReference) and as the
-// baseline leg of BenchmarkEvaluateColumnar.
+// or reordered. evaluateDimsReference (a test helper) keeps the pre-kernel
+// scan as the executable form of this argument (TestColumnarMatchesReference)
+// and as the baseline leg of BenchmarkEvaluateColumnar.
 
 // evalScratch is one worker slot's reusable buffers for the columnar
 // evaluation kernel. rows and cols grow to the largest ni·d seen and are
@@ -106,133 +105,4 @@ func dispersionColumn(col []float64) float64 {
 	med := stats.MedianInPlace(col)
 	diff := r.Mean() - med
 	return r.Variance() + diff*diff
-}
-
-// evaluateDimsReference is the pre-kernel per-element At column scan, kept
-// verbatim as the bit-identity oracle for the columnar kernel and as the
-// baseline leg of BenchmarkEvaluateColumnar. buf needs len >= len(members).
-func evaluateDimsReference(ds *dataset.Dataset, members []int, thr *thresholds, buf []float64, out []dimEval) []dimEval {
-	d := ds.D()
-	out = out[:0]
-	ni := len(members)
-	if ni == 0 {
-		for j := 0; j < d; j++ {
-			out = append(out, dimEval{phi: math.Inf(-1)})
-		}
-		return out
-	}
-	for j := 0; j < d; j++ {
-		var r stats.Running
-		for t, i := range members {
-			v := ds.At(i, j)
-			buf[t] = v
-			r.Add(v)
-		}
-		med := stats.MedianInPlace(buf[:ni])
-		diff := r.Mean() - med
-		disp := r.Variance() + diff*diff
-		sHat := thr.value(j, ni)
-		phi := float64(ni-1) * (1 - disp/sHat)
-		out = append(out, dimEval{phi: phi, selected: disp < sHat})
-	}
-	return out
-}
-
-// EvalBench exposes the two implementations of the Step-4 dimension
-// evaluation — the columnar gather kernel and the pre-kernel per-element At
-// column scan — so the repository benchmark suite (BenchmarkEvaluateColumnar)
-// can chart the kernel against its baseline on flat and sharded storage.
-// Both methods return Σ φ_ij over the selected dimensions, as a sink the
-// compiler cannot elide. Not safe for concurrent use.
-type EvalBench struct {
-	ds      *dataset.Dataset
-	thr     *thresholds
-	scratch *evalScratch
-	buf     []float64
-	out     []dimEval
-}
-
-// NewEvalBench builds an evaluation benchmark harness over the dataset with
-// the thresholds the given options imply.
-func NewEvalBench(ds *dataset.Dataset, opts Options) (*EvalBench, error) {
-	opts, err := opts.normalized(ds)
-	if err != nil {
-		return nil, err
-	}
-	return &EvalBench{
-		ds:      ds,
-		thr:     newThresholds(ds, opts),
-		scratch: newEvalScratch(ds.D()),
-		buf:     make([]float64, ds.N()),
-		out:     make([]dimEval, 0, ds.D()),
-	}, nil
-}
-
-// Columnar evaluates the members through the gather/transpose kernel.
-func (b *EvalBench) Columnar(members []int) float64 {
-	return sumSelected(evaluateDims(b.ds, members, b.thr, b.scratch))
-}
-
-// Reference evaluates the members through the pre-kernel At column scan.
-func (b *EvalBench) Reference(members []int) float64 {
-	b.out = evaluateDimsReference(b.ds, members, b.thr, b.buf, b.out)
-	return sumSelected(b.out)
-}
-
-func sumSelected(evals []dimEval) float64 {
-	phi := 0.0
-	for _, e := range evals {
-		if e.selected {
-			phi += e.phi
-		}
-	}
-	return phi
-}
-
-// ParallelEvalBench exposes the cluster-chunked Step-4 evaluation path — the
-// engine.MapChunks map-reduce assigner.evaluate runs, one cluster per chunk
-// with per-worker gather scratch and the φ fold in cluster-index order — so
-// the repository benchmark suite (BenchmarkEvaluateParallel) can chart its
-// scaling across worker counts. Evaluate returns Σ_i φ_i, which is
-// bit-identical for every worker count (the conformance suite's
-// parallel-evaluation leg pins the same property end to end). Not safe for
-// concurrent use.
-type ParallelEvalBench struct {
-	ds       *dataset.Dataset
-	thr      *thresholds
-	par      *assigner
-	clusters []*state
-}
-
-// NewParallelEvalBench builds the harness over fixed cluster member lists
-// (one per cluster, as Step 3 would produce them) with `workers` goroutines
-// for the chunked evaluation.
-func NewParallelEvalBench(ds *dataset.Dataset, opts Options, membersByCluster [][]int, workers int) (*ParallelEvalBench, error) {
-	opts, err := opts.normalized(ds)
-	if err != nil {
-		return nil, err
-	}
-	k := len(membersByCluster)
-	clusters := make([]*state, k)
-	for i, members := range membersByCluster {
-		clusters[i] = &state{members: members, prevSize: maxInt(2, len(members))}
-	}
-	return &ParallelEvalBench{
-		ds:       ds,
-		thr:      newThresholds(ds, opts),
-		par:      newAssigner(ds.N(), ds.D(), k, workers, opts.ChunkSize),
-		clusters: clusters,
-	}, nil
-}
-
-// Evaluate runs one full Step-4 pass (SelectDim + φ_i on every cluster,
-// chunked across the harness's workers) and returns Σ_i φ_i.
-func (b *ParallelEvalBench) Evaluate() float64 {
-	total, err := b.par.evaluate(context.Background(), b.ds, b.clusters, b.thr)
-	if err != nil {
-		// Background never cancels; only an injected fault can land here,
-		// and the bench harness runs with the registry disarmed.
-		panic(err)
-	}
-	return total
 }

@@ -109,19 +109,10 @@ type Options struct {
 	// Seed drives all randomized choices.
 	Seed int64
 
-	// Restarts is the number of independent randomized restarts of the main
-	// loop; the result with the best objective φ is returned (ties go to the
-	// lowest restart index). <= 0 means 1. Restart r draws every random
-	// choice from a splitmix-derived child seed of Seed, so results are a
-	// pure function of (Options, Dataset) regardless of Workers.
-	Restarts int
-
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over (when Workers >
-	// Restarts) parallelize the assignment step inside each restart.
-	// <= 0 means runtime.GOMAXPROCS(0). The worker count never changes the
-	// result, only the wall-clock time.
-	Workers int
+	// Budget sets the restarts, the worker budget and the chunk size of
+	// the assignment and evaluation loops (see engine.Budget); the result
+	// with the best objective φ wins.
+	engine.Budget
 
 	// EarlyStop, when > 0, streams the restarts instead of running a fixed
 	// best-of-Restarts: restarts launch lazily and the run stops once the
@@ -131,12 +122,6 @@ type Options struct {
 	// Restarts unconditionally — byte-identical to the pre-streaming
 	// engine.
 	EarlyStop int
-
-	// ChunkSize is the number of objects per unit of intra-restart work in
-	// the chunked assignment step. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only tunes
-	// scheduling granularity. <= 0 means a default of 512.
-	ChunkSize int
 
 	// Trace optionally observes initialization and every iteration; nil
 	// (the default) costs nothing.
@@ -206,15 +191,7 @@ func (o Options) normalized(ds *dataset.Dataset) (Options, error) {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 60
 	}
-	if o.Restarts <= 0 {
-		o.Restarts = 1
-	}
-	if o.EarlyStop < 0 {
-		o.EarlyStop = 0
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 512
-	}
+	o.Budget = o.Budget.Normalized(engine.Budget{})
 	// On a shard-backed dataset, chunk = shard: each worker's scan stays
 	// inside one shard's backing memory. Output is unchanged either way.
 	o.ChunkSize = engine.AlignChunk(o.ChunkSize, ds.ShardRows())

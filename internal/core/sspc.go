@@ -46,20 +46,17 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if err != nil {
 		return nil, err
 	}
-	intra := engine.SplitBudget(opts.Workers, opts.Restarts)
-	// Stream degenerates to Run's fixed fan-out when EarlyStop <= 0.
-	results, err := engine.Stream(ctx, opts.Restarts, opts.Workers,
-		opts.Seed, opts.EarlyStop, cluster.BetterResult,
-		func(restart int, rng *stats.RNG) (*cluster.Result, error) {
+	_, all, err := engine.Fit(ctx, opts.Budget, opts.Seed, opts.EarlyStop, cluster.BetterResult,
+		func(restart int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, opts, restart, rng, intra)
 		})
 	if err != nil {
 		return nil, err
 	}
-	if len(results) < opts.Restarts {
-		opts.Trace.emitEarlyStop(len(results), opts.Restarts)
+	if len(all) < opts.Restarts {
+		opts.Trace.emitEarlyStop(len(all), opts.Restarts)
 	}
-	return cluster.BestResult(results), nil
+	return cluster.BestResult(all), nil
 }
 
 // runOnce executes one restart of the SSPC main loop with its own RNG,

@@ -89,8 +89,8 @@ func (t *thresholds) values(ni int, dst []float64) []float64 {
 // dispersion returns s²_ij + (µ_ij − µ̃_ij)², the quantity Lemma 1 compares
 // against ŝ²_ij, for the projections of members on dimension j. buf is
 // caller-provided scratch (capacity >= len(members), consumed by the median)
-// so the per-dimension callers — phiCluster and phiIJ run this once per
-// dimension — pay no allocation per call.
+// so the per-dimension callers — phiIJ and the validation scan run this once
+// per dimension — pay no allocation per call.
 func dispersion(ds *dataset.Dataset, members []int, j int, buf []float64) float64 {
 	if len(members) == 0 {
 		return math.Inf(1)

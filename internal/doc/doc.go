@@ -40,18 +40,10 @@ type Options struct {
 	Fast bool
 	Seed int64
 
-	// Restarts is the number of independent Monte-Carlo runs; the result
-	// with the highest total µ score is returned (ties keep the lowest
-	// restart index). <= 0 means 1. Restart r derives its RNG from
-	// engine.ChildSeed(Seed, r).
-	Restarts int
-
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over (when Workers >
-	// Restarts) parallelize the chunked box-membership scans inside each
-	// restart. <= 0 means runtime.GOMAXPROCS(0). The worker count never
-	// changes the result.
-	Workers int
+	// Budget sets the Monte-Carlo restarts, the worker budget and the
+	// chunk size of the box-membership scans; the run with the highest total
+	// µ score wins (see engine.Budget).
+	engine.Budget
 
 	// EarlyStop, when > 0, streams the restarts instead of running a fixed
 	// best-of-Restarts: restarts launch lazily and the run stops once the
@@ -60,12 +52,6 @@ type Options struct {
 	// Workers value). Restarts stays the hard cap. 0 (the default) runs all
 	// Restarts unconditionally.
 	EarlyStop int
-
-	// ChunkSize is the number of remaining points per unit of intra-restart
-	// work in the chunked box-membership scan. Chunk boundaries are fixed by
-	// this value alone, so any ChunkSize produces byte-identical output; it
-	// only tunes scheduling granularity. <= 0 means a default of 512.
-	ChunkSize int
 }
 
 // DefaultOptions returns a practical configuration: w = 15% of the value
@@ -103,32 +89,20 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if opts.Beta <= 0 || opts.Beta > 0.5 {
 		return nil, fmt.Errorf("doc: Beta = %v out of (0,0.5]", opts.Beta)
 	}
-	restarts := opts.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
-	if opts.EarlyStop < 0 {
-		opts.EarlyStop = 0
-	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
 	// ChunkSize deliberately stays un-aligned to dataset shards
 	// (engine.AlignChunk): the box-membership scans chunk positions in the
 	// shrinking `remaining` subset, whose positions drift from row indices
 	// as clusters are peeled off — shard-sized chunks would serialize the
 	// scan without confining it to one shard's memory.
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	// Stream degenerates to Run's fixed fan-out when EarlyStop <= 0.
-	results, err := engine.Stream(ctx, restarts, opts.Workers,
-		opts.Seed, opts.EarlyStop, cluster.BetterResult,
-		func(_ int, rng *stats.RNG) (*cluster.Result, error) {
+	opts.Budget = opts.Budget.Normalized(engine.Budget{})
+	_, all, err := engine.Fit(ctx, opts.Budget, opts.Seed, opts.EarlyStop, cluster.BetterResult,
+		func(_ int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, opts, rng, intra)
 		})
 	if err != nil {
 		return nil, err
 	}
-	return cluster.BestResult(results), nil
+	return cluster.BestResult(all), nil
 }
 
 // runOnce executes one Monte-Carlo DOC run with its own RNG, parallelizing
@@ -311,7 +285,7 @@ func mu(a, b int, beta float64) float64 {
 // in chunk-index order, so the member list is byte-identical to the serial
 // scan for every workers/chunkSize value.
 func boxMembers(ctx context.Context, ds *dataset.Dataset, remaining []int, prow []float64, D []int, w float64, workers, chunkSize int) ([]int, error) {
-	return engine.MapChunksCtx(ctx, len(remaining), chunkSize, workers, func(_, lo, hi int) []int {
+	return engine.MapChunks(ctx, len(remaining), chunkSize, workers, nil, func(_, lo, hi int) []int {
 		var out []int
 		for _, q := range remaining[lo:hi] {
 			qrow := ds.Row(q)

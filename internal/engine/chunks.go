@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -10,37 +11,15 @@ import (
 
 // This file holds the intra-restart primitives: the fixed-boundary chunk
 // scheduler every algorithm's hot point loops run through, the ordered
-// map-reduce on top of it, the per-worker scratch pool, and the split of the
-// worker budget between concurrent restarts and the loops inside each. The
-// shared invariant, inherited by every caller: chunk boundaries depend only
-// on chunkSize — never on the worker count or on scheduling — so output is a
-// pure function of (input, chunkSize-independent math), byte-identical for
-// every Workers/ChunkSize combination.
+// map-reduce on top of it, and the per-worker scratch pool. The shared
+// invariant, inherited by every caller: chunk boundaries depend only on
+// chunkSize — never on the worker count or on scheduling — so output is
+// byte-identical for every Workers/ChunkSize combination.
 //
-// Every variant funnels into the same ctx-aware scheduler: the legacy void
-// signatures pass context.Background(), whose Err is a nil-returning no-op,
-// so they keep their allocation-free serial path while inheriting the
-// per-chunk fault gate and the panic containment of the parallel tail.
-
-// SplitBudget splits the total worker budget between concurrent restarts and
-// the chunked loops inside each restart: with W workers and R restarts,
-// min(W, R) restarts run concurrently and each gets ceil(W / min(W, R))
-// goroutines for its inner loops — rounding up so no part of the budget is
-// stranded when W is not a multiple of R, at the cost of mild peak
-// oversubscription that also keeps cores busy as the restart stream drains.
-// The split is a scheduling heuristic only — any value produces
-// byte-identical results.
-func SplitBudget(workers, restarts int) int {
-	w := DefaultWorkers(workers)
-	concurrent := restarts
-	if concurrent > w {
-		concurrent = w
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	return (w + concurrent - 1) / concurrent
-}
+// Both entry points take a ctx and return an error: before every chunk they
+// pass a cooperative gate (the chunk-execution fault hook, then the
+// context), and a panic inside a chunk is contained into a *PanicError on
+// whichever goroutine ran it. Their serial paths allocate nothing.
 
 // AlignChunk aligns an intra-restart chunk size to the storage shard
 // granularity of the dataset being scanned. With shardRows > 0 (a
@@ -80,12 +59,20 @@ func chunkGate(ctx context.Context) error {
 	return nil
 }
 
+// chunkEnd returns the exclusive end of the chunk starting at lo.
+func chunkEnd(lo, chunkSize, total int) int {
+	if hi := lo + chunkSize; hi < total {
+		return hi
+	}
+	return total
+}
+
 // ParallelChunks splits [0, total) into contiguous ranges of chunkSize
-// elements (the last one shorter) and runs fn over them on up to `workers`
-// goroutines. Chunk boundaries depend only on chunkSize, never on the worker
-// count, so a caller whose fn writes exclusively to its own [lo, hi) output
-// region produces byte-identical results for every workers value — the
-// invariant the intra-restart assignment step is built on.
+// elements (the last one shorter; chunkSize <= 0 means one chunk) and runs
+// fn over them on up to `workers` goroutines. Chunk boundaries depend only
+// on chunkSize, never on the worker count, so a caller whose fn writes
+// exclusively to its own [lo, hi) output region produces byte-identical
+// results for every workers value.
 //
 // fn also receives a worker slot index in [0, workers) that is stable for
 // the duration of the call, so callers can hand each worker its own scratch
@@ -93,25 +80,13 @@ func chunkGate(ctx context.Context) error {
 // the slot for scratch only, never to influence output values. workers <= 1
 // or total <= chunkSize runs everything inline on slot 0.
 //
-// ParallelChunks is ParallelChunksCtx over context.Background(); the only
-// error that path can produce is an injected chunk-execution fault, which is
-// raised as a panic and contained at the engine's restart boundary.
-func ParallelChunks(total, chunkSize, workers int, fn func(worker, lo, hi int)) {
-	if err := ParallelChunksCtx(context.Background(), total, chunkSize, workers, fn); err != nil {
-		panic(err)
-	}
-}
-
-// ParallelChunksCtx is the ctx-aware chunk scheduler: identical boundaries
-// and worker-slot semantics to ParallelChunks, plus a cooperative gate before
-// every chunk dispatch. When ctx is canceled mid-scan it stops issuing chunks
-// and returns context.Cause(ctx) within one chunk boundary per worker;
-// already-dispatched chunks run to completion, so fn's writes stay confined
-// to chunks the scheduler actually issued. Partial output must be treated as
-// garbage by the caller whenever the return is non-nil — the determinism
-// contract only covers completed calls, which remain byte-identical to the
-// void signature for every Workers/ChunkSize combination.
-func ParallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn func(worker, lo, hi int)) error {
+// A non-nil error means the scan stopped early: ctx was canceled (the error
+// is context.Cause(ctx), returned within one chunk boundary per worker), a
+// chunk-execution fault was injected, or a chunk panicked (*PanicError).
+// Already-dispatched chunks run to completion, so fn's writes stay confined
+// to chunks the scheduler actually issued, but the caller must treat the
+// partial output as garbage.
+func ParallelChunks(ctx context.Context, total, chunkSize, workers int, fn func(worker, lo, hi int)) error {
 	if total <= 0 {
 		return nil
 	}
@@ -122,35 +97,38 @@ func ParallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 		chunkSize = total
 	}
 	if workers <= 1 || total <= chunkSize {
-		for lo := 0; lo < total; lo += chunkSize {
-			if err := chunkGate(ctx); err != nil {
-				return err
-			}
-			hi := lo + chunkSize
-			if hi > total {
-				hi = total
-			}
-			fn(0, lo, hi)
-		}
-		return nil
+		return serialChunks(ctx, total, chunkSize, fn)
 	}
-	return parallelChunksCtx(ctx, total, chunkSize, workers, fn)
+	return parallelChunks(ctx, total, chunkSize, workers, fn)
 }
 
-// parallelChunksCtx is the multi-goroutine tail, split out so the serial path
+// serialChunks is the inline path of ParallelChunks: one goroutine, slot 0,
+// chunks in ascending order, and one deferred panic containment for the
+// whole scan.
+func serialChunks(ctx context.Context, total, chunkSize int, fn func(worker, lo, hi int)) (err error) {
+	defer containPanic(&err)
+	for lo := 0; lo < total; lo += chunkSize {
+		if err := chunkGate(ctx); err != nil {
+			return err
+		}
+		fn(0, lo, chunkEnd(lo, chunkSize, total))
+	}
+	return nil
+}
+
+// parallelChunks is the multi-goroutine tail, split out so the serial path
 // above stays allocation-free: the chunk cursor, wait group, and error slots
 // below are captured by the worker goroutines and therefore live on the heap,
-// a cost only the path that actually spawns goroutines should pay (the
-// zero-alloc kernel pins in core run through the serial path).
+// a cost only the path that actually spawns goroutines should pay.
 //
-// A worker that trips the gate records its error under errMu (lowest chunk
-// index wins, so the reported error is scheduling-independent whenever a
-// deterministic gate — an expired deadline, an armed fault — trips every
-// worker) and flips stop so siblings cease pulling chunks. A panicking fn is
-// recovered on the worker, and the first panic value is re-raised on the
-// calling goroutine after the pool drains, so restart-boundary containment
-// in Run/Stream sees it exactly as if the chunk had run inline.
-func parallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn func(worker, lo, hi int)) error {
+// Each worker runs its chunks through serialChunks-style containment: a gate
+// error is recorded with its chunk index (lowest index wins, so the reported
+// error is scheduling-independent whenever a deterministic gate — an
+// expired deadline, an armed fault — trips every worker), a panic is
+// recorded as a *PanicError, and either flips stop so siblings cease pulling
+// chunks. A panic outranks a gate error: it may be a genuine bug and must
+// never be swallowed by a concurrent cancellation.
+func parallelChunks(ctx context.Context, total, chunkSize, workers int, fn func(worker, lo, hi int)) error {
 	chunks := (total + chunkSize - 1) / chunkSize
 	if workers > chunks {
 		workers = chunks
@@ -162,20 +140,17 @@ func parallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 		errMu    sync.Mutex
 		errChunk = -1
 		firstErr error
-		panicked any
+		panicErr error
 	)
 	record := func(c int, err error) {
 		errMu.Lock()
-		if errChunk < 0 || c < errChunk {
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			if panicErr == nil {
+				panicErr = err
+			}
+		} else if errChunk < 0 || c < errChunk {
 			errChunk, firstErr = c, err
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-	recordPanic := func(pv any) {
-		errMu.Lock()
-		if panicked == nil {
-			panicked = pv
 		}
 		errMu.Unlock()
 		stop.Store(true)
@@ -184,57 +159,41 @@ func parallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
+			for !stop.Load() {
 				c := int(next.Add(1)) - 1
 				if c >= chunks {
 					return
 				}
-				if err := chunkGate(ctx); err != nil {
+				if err := runChunk(ctx, fn, worker, c*chunkSize, chunkSize, total); err != nil {
 					record(c, err)
-					return
-				}
-				lo := c * chunkSize
-				hi := lo + chunkSize
-				if hi > total {
-					hi = total
-				}
-				if pv := runChunk(fn, worker, lo, hi); pv != nil {
-					recordPanic(pv)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	// A panic always outranks a gate error: it may be a genuine bug and must
-	// keep unwinding toward the restart-boundary containment, never be
-	// swallowed by a concurrent cancellation.
-	if panicked != nil {
-		panic(panicked)
+	if panicErr != nil {
+		return panicErr
 	}
 	return firstErr
 }
 
-// runChunk invokes one chunk and converts a panic into a value instead of
-// letting it unwind a pool goroutine (which would kill the process before
-// the restart-boundary recover in Run/Stream could contain it).
-func runChunk(fn func(worker, lo, hi int), worker, lo, hi int) (panicked any) {
-	defer func() {
-		if v := recover(); v != nil {
-			panicked = v
-		}
-	}()
-	fn(worker, lo, hi)
+// runChunk gates and runs the one chunk starting at lo on a pool goroutine,
+// containing a panic from the gate or from fn — an uncontained panic would
+// kill the process.
+func runChunk(ctx context.Context, fn func(worker, lo, hi int), worker, lo, chunkSize, total int) (err error) {
+	defer containPanic(&err)
+	if err := chunkGate(ctx); err != nil {
+		return err
+	}
+	fn(worker, lo, chunkEnd(lo, chunkSize, total))
 	return nil
 }
 
 // MapChunks runs fn over the same fixed chunks as ParallelChunks, collects
 // one R per chunk, and folds the per-chunk results serially in chunk-index
 // order, seeded with the first chunk's result (a single chunk — the common
-// case once a range fits ChunkSize — returns fn's value directly, no fold
+// case once a range fits chunkSize — returns fn's value directly, no fold
 // call, no copy). The fold is the ordered serial reduction of the
 // determinism contract: because chunk boundaries depend only on chunkSize
 // and the fold visits chunks in ascending order, the returned value is
@@ -242,44 +201,19 @@ func runChunk(fn func(worker, lo, hi int), worker, lo, hi int) (panicked any) {
 // too must pick an fn/fold pair whose composition does not depend on where
 // the boundaries fall (disjoint list concatenation, or sums that chunk
 // splits leave bit-identical). total <= 0 returns the zero R.
-func MapChunks[R any](total, chunkSize, workers int, fn func(worker, lo, hi int) R, fold func(acc, chunk R) R) R {
-	return MapChunksInto(total, chunkSize, workers, nil, fn, fold)
-}
-
-// MapChunksCtx is the ctx-aware MapChunks: same boundaries, same ordered
-// fold, plus the per-chunk cooperative gate of ParallelChunksCtx. A canceled
-// ctx (or an armed chunk-execution fault) aborts the reduction and returns
-// the zero R with context.Cause(ctx) / the injected error — never a partial
-// fold. Completed calls are byte-identical to MapChunks.
-func MapChunksCtx[R any](ctx context.Context, total, chunkSize, workers int, fn func(worker, lo, hi int) R, fold func(acc, chunk R) R) (R, error) {
-	return MapChunksIntoCtx(ctx, total, chunkSize, workers, nil, fn, fold)
-}
-
-// MapChunksInto is MapChunks with a caller-owned per-chunk results buffer:
-// the multi-worker path needs one R slot per chunk, and reuses buf's backing
-// array when cap(buf) covers the chunk count instead of allocating a fresh
-// slice every call. A steady-state caller whose chunk count is fixed (e.g.
-// one map-reduce per iteration over a constant K) can therefore keep the
-// reduction allocation-free beyond the goroutine spawns themselves. Every
-// slot in [0, chunks) is overwritten before the fold reads it, so stale buf
-// contents never leak into the result. buf == nil (or too small) falls back
-// to allocating, which is exactly MapChunks.
-func MapChunksInto[R any](total, chunkSize, workers int, buf []R, fn func(worker, lo, hi int) R, fold func(acc, chunk R) R) R {
-	res, err := MapChunksIntoCtx(context.Background(), total, chunkSize, workers, buf, fn, fold)
-	if err != nil {
-		// Background never cancels, so the only error this path can see is
-		// an injected chunk-execution fault; raise it toward the
-		// restart-boundary containment like the void scheduler does.
-		panic(err)
-	}
-	return res
-}
-
-// MapChunksIntoCtx is MapChunksInto with the cooperative per-chunk gate of
-// ParallelChunksCtx: the buffer-reuse contract and the ordered fold are
-// unchanged, and a non-nil error (cancellation cause or injected fault) is
-// returned with the zero R — an interrupted reduction never folds.
-func MapChunksIntoCtx[R any](ctx context.Context, total, chunkSize, workers int, buf []R, fn func(worker, lo, hi int) R, fold func(acc, chunk R) R) (R, error) {
+//
+// buf is an optional caller-owned per-chunk results buffer for the
+// multi-worker path: when cap(buf) covers the chunk count its backing array
+// is reused instead of allocating one slot per chunk every call, so a
+// steady-state caller with a fixed chunk count (one map-reduce per
+// iteration over a constant K) stays allocation-free beyond the goroutine
+// spawns. Every slot is overwritten before the fold reads it; nil (or too
+// small) allocates.
+//
+// Errors follow ParallelChunks; a non-nil error comes with the zero R — an
+// interrupted reduction never folds.
+func MapChunks[R any](ctx context.Context, total, chunkSize, workers int, buf []R,
+	fn func(worker, lo, hi int) R, fold func(acc, chunk R) R) (R, error) {
 	var zero R
 	if total <= 0 {
 		return zero, nil
@@ -290,37 +224,20 @@ func MapChunksIntoCtx[R any](ctx context.Context, total, chunkSize, workers int,
 	if chunkSize <= 0 {
 		chunkSize = total
 	}
-	if total <= chunkSize {
-		if err := chunkGate(ctx); err != nil {
+	if workers <= 1 || total <= chunkSize {
+		acc, err := serialMap(ctx, total, chunkSize, fn, fold)
+		if err != nil {
 			return zero, err
-		}
-		return fn(0, 0, total), nil
-	}
-	if workers <= 1 {
-		if err := chunkGate(ctx); err != nil {
-			return zero, err
-		}
-		acc := fn(0, 0, chunkSize)
-		for lo := chunkSize; lo < total; lo += chunkSize {
-			if err := chunkGate(ctx); err != nil {
-				return zero, err
-			}
-			hi := lo + chunkSize
-			if hi > total {
-				hi = total
-			}
-			acc = fold(acc, fn(0, lo, hi))
 		}
 		return acc, nil
 	}
 	chunks := (total + chunkSize - 1) / chunkSize
-	var results []R
-	if cap(buf) >= chunks {
-		results = buf[:chunks]
-	} else {
+	results := buf
+	if cap(results) < chunks {
 		results = make([]R, chunks)
 	}
-	if err := ParallelChunksCtx(ctx, total, chunkSize, workers, func(worker, lo, hi int) {
+	results = results[:chunks]
+	if err := parallelChunks(ctx, total, chunkSize, workers, func(worker, lo, hi int) {
 		results[lo/chunkSize] = fn(worker, lo, hi)
 	}); err != nil {
 		return zero, err
@@ -328,6 +245,25 @@ func MapChunksIntoCtx[R any](ctx context.Context, total, chunkSize, workers int,
 	acc := results[0]
 	for _, r := range results[1:] {
 		acc = fold(acc, r)
+	}
+	return acc, nil
+}
+
+// serialMap is the inline path of MapChunks, with serialChunks' gate and
+// panic containment; on error its partial acc is discarded by the caller.
+func serialMap[R any](ctx context.Context, total, chunkSize int,
+	fn func(worker, lo, hi int) R, fold func(acc, chunk R) R) (acc R, err error) {
+	defer containPanic(&err)
+	for lo := 0; lo < total; lo += chunkSize {
+		if err := chunkGate(ctx); err != nil {
+			return acc, err
+		}
+		r := fn(0, lo, chunkEnd(lo, chunkSize, total))
+		if lo == 0 {
+			acc = r
+		} else {
+			acc = fold(acc, r)
+		}
 	}
 	return acc, nil
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -21,14 +23,25 @@ func TestSplitBudgetSplit(t *testing.T) {
 		{4, -2, 4},
 	}
 	for _, c := range cases {
-		if got := SplitBudget(c.workers, c.restarts); got != c.want {
-			t.Errorf("SplitBudget(%d, %d) = %d, want %d", c.workers, c.restarts, got, c.want)
+		if got := splitBudget(c.workers, c.restarts); got != c.want {
+			t.Errorf("splitBudget(%d, %d) = %d, want %d", c.workers, c.restarts, got, c.want)
 		}
 	}
 	// workers <= 0 resolves through DefaultWorkers first.
-	if got := SplitBudget(0, 1); got != DefaultWorkers(0) {
-		t.Errorf("SplitBudget(0, 1) = %d, want GOMAXPROCS (%d)", got, DefaultWorkers(0))
+	if got := splitBudget(0, 1); got != DefaultWorkers(0) {
+		t.Errorf("splitBudget(0, 1) = %d, want GOMAXPROCS (%d)", got, DefaultWorkers(0))
 	}
+}
+
+// mapChunks is MapChunks under context.Background for fns that cannot fail.
+func mapChunks[R any](t *testing.T, total, chunkSize, workers int, buf []R,
+	fn func(worker, lo, hi int) R, fold func(acc, chunk R) R) R {
+	t.Helper()
+	r, err := MapChunks(context.Background(), total, chunkSize, workers, buf, fn, fold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestMapChunksOrderedReduction: the fold visits chunks in ascending index
@@ -42,7 +55,7 @@ func TestMapChunksOrderedReduction(t *testing.T) {
 	}
 	for _, chunkSize := range []int{0, 1, 7, 64, 1000} {
 		for _, workers := range []int{1, 3, 8} {
-			got := MapChunks(total, chunkSize, workers, func(_, lo, hi int) []int {
+			got := mapChunks(t, total, chunkSize, workers, nil, func(_, lo, hi int) []int {
 				out := make([]int, 0, hi-lo)
 				for i := lo; i < hi; i++ {
 					out = append(out, i*i)
@@ -61,7 +74,7 @@ func TestMapChunksOrderedReduction(t *testing.T) {
 // size — the reduction is serial even when the map ran parallel.
 func TestMapChunksWorkerCountInvariance(t *testing.T) {
 	sum := func(workers int) float64 {
-		return MapChunks(1000, 17, workers, func(_, lo, hi int) float64 {
+		return mapChunks(t, 1000, 17, workers, nil, func(_, lo, hi int) float64 {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += 1.0 / float64(i+1)
@@ -83,7 +96,7 @@ func TestMapChunksWorkerCountInvariance(t *testing.T) {
 func TestMapChunksSingleChunkShortCircuit(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		got := MapChunks(1, 1, workers, func(worker, lo, hi int) int {
+		got := mapChunks(t, 1, 1, workers, nil, func(worker, lo, hi int) int {
 			calls++
 			if worker != 0 || lo != 0 || hi != 1 {
 				t.Fatalf("workers=%d: fn(worker=%d, lo=%d, hi=%d), want (0, 0, 1)", workers, worker, lo, hi)
@@ -99,8 +112,8 @@ func TestMapChunksSingleChunkShortCircuit(t *testing.T) {
 	}
 }
 
-// TestMapChunksIntoBufferReuse: with a caller-owned buffer of sufficient
-// capacity the multi-worker path writes the per-chunk results into that
+// TestMapChunksIntoBufferReuse: with a caller-owned buffer (MapChunks' buf)
+// of sufficient capacity the multi-worker path writes the per-chunk results into that
 // backing array (observable: every slot overwritten, sentinels gone) and the
 // fold still matches MapChunks bit-for-bit; a too-small or nil buffer falls
 // back to allocating and stale sentinel values never leak into the result.
@@ -115,14 +128,14 @@ func TestMapChunksIntoBufferReuse(t *testing.T) {
 		return s
 	}
 	fold := func(acc, chunk float64) float64 { return acc + chunk }
-	want := MapChunks(total, chunkSize, workers, fn, fold)
+	want := mapChunks(t, total, chunkSize, workers, nil, fn, fold)
 
 	buf := make([]float64, chunks+3)
 	for i := range buf {
 		buf[i] = -1e308 // sentinel: must be overwritten, never folded
 	}
-	if got := MapChunksInto(total, chunkSize, workers, buf, fn, fold); got != want {
-		t.Fatalf("MapChunksInto with reusable buffer = %v, want %v", got, want)
+	if got := mapChunks(t, total, chunkSize, workers, buf, fn, fold); got != want {
+		t.Fatalf("MapChunks with reusable buffer = %v, want %v", got, want)
 	}
 	for c := 0; c < chunks; c++ {
 		if buf[c] == -1e308 {
@@ -133,23 +146,23 @@ func TestMapChunksIntoBufferReuse(t *testing.T) {
 		}
 	}
 	// A second call through the same buffer (the steady-state shape) agrees.
-	if got := MapChunksInto(total, chunkSize, workers, buf, fn, fold); got != want {
-		t.Fatalf("MapChunksInto on reused buffer = %v, want %v", got, want)
+	if got := mapChunks(t, total, chunkSize, workers, buf, fn, fold); got != want {
+		t.Fatalf("MapChunks on reused buffer = %v, want %v", got, want)
 	}
 
 	for _, small := range [][]float64{nil, make([]float64, chunks-1)} {
 		for i := range small {
 			small[i] = -1e308
 		}
-		if got := MapChunksInto(total, chunkSize, workers, small, fn, fold); got != want {
-			t.Fatalf("MapChunksInto with cap-%d buffer = %v, want %v", cap(small), got, want)
+		if got := mapChunks(t, total, chunkSize, workers, small, fn, fold); got != want {
+			t.Fatalf("MapChunks with cap-%d buffer = %v, want %v", cap(small), got, want)
 		}
 	}
 }
 
 // TestMapChunksEmpty: total <= 0 returns the zero value without calling fn.
 func TestMapChunksEmpty(t *testing.T) {
-	got := MapChunks(0, 4, 2, func(_, _, _ int) int {
+	got := mapChunks(t, 0, 4, 2, nil, func(_, _, _ int) int {
 		t.Error("fn called for empty range")
 		return 1
 	}, func(acc, chunk int) int { return acc + chunk })
@@ -190,12 +203,14 @@ func TestScratchPerSlot(t *testing.T) {
 func TestScratchUnderParallelChunks(t *testing.T) {
 	const workers = 4
 	s := NewScratch(workers, func() []int { return make([]int, 100) })
-	ParallelChunks(1000, 7, workers, func(w, lo, hi int) {
+	if err := ParallelChunks(context.Background(), 1000, 7, workers, func(w, lo, hi int) {
 		buf := s.Get(w)
 		for i := lo; i < hi; i++ {
 			buf[i%len(buf)]++
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAlignChunk: a shard granularity overrides the chunk size (one chunk
@@ -214,6 +229,55 @@ func TestAlignChunk(t *testing.T) {
 	} {
 		if got := AlignChunk(tc.chunkSize, tc.shardRows); got != tc.want {
 			t.Errorf("AlignChunk(%d, %d) = %d, want %d", tc.chunkSize, tc.shardRows, got, tc.want)
+		}
+	}
+}
+
+// TestChunksContainPanics: a panicking chunk fails the call with a
+// *PanicError instead of unwinding — on the inline path and on a pool
+// goroutine alike, where an uncontained panic would kill the process — and
+// the panic value stays reachable through errors.Is.
+func TestChunksContainPanics(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		err := ParallelChunks(context.Background(), 100, 10, workers, func(_, lo, _ int) {
+			if lo == 50 {
+				panic(boom)
+			}
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || !errors.Is(err, boom) || len(pe.Stack) == 0 {
+			t.Errorf("ParallelChunks workers=%d: err = %v, want a *PanicError wrapping boom", workers, err)
+		}
+		got, err := MapChunks(context.Background(), 100, 10, workers, nil, func(_, lo, _ int) int {
+			if lo == 50 {
+				panic(boom)
+			}
+			return 1
+		}, func(acc, chunk int) int { return acc + chunk })
+		if !errors.As(err, &pe) || got != 0 {
+			t.Errorf("MapChunks workers=%d: (%d, %v), want (0, *PanicError)", workers, got, err)
+		}
+	}
+}
+
+// TestChunksStopOnCanceledContext: a canceled ctx stops the scan before the
+// first chunk and returns its cause — never a partial fold.
+func TestChunksStopOnCanceledContext(t *testing.T) {
+	cause := errors.New("stop")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	for _, workers := range []int{1, 4} {
+		err := ParallelChunks(ctx, 100, 10, workers, func(_, _, _ int) {
+			t.Error("chunk ran under a canceled ctx")
+		})
+		if !errors.Is(err, cause) {
+			t.Errorf("ParallelChunks workers=%d: err = %v, want the cancel cause", workers, err)
+		}
+		got, err := MapChunks(ctx, 100, 10, workers, nil, func(_, _, _ int) int { return 1 },
+			func(acc, chunk int) int { return acc + chunk })
+		if !errors.Is(err, cause) || got != 0 {
+			t.Errorf("MapChunks workers=%d: (%d, %v), want (0, cause)", workers, got, err)
 		}
 	}
 }

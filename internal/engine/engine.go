@@ -71,21 +71,22 @@ func Cause(ctx context.Context) error {
 	return context.Cause(ctx)
 }
 
-// PanicError is the typed failure a panicking restart is contained into: the
-// engine recovers the panic (on whichever goroutine ran the restart — chunk
-// pool workers re-raise onto the restart goroutine first), records the value
-// and stack, and fails the run with this error instead of crashing the
-// process. Unwrap exposes the panic value when it is itself an error, so
-// errors.Is / errors.As see through the containment (an injected
-// faults.ModePanic still matches faults.ErrInjected).
+// PanicError is the typed failure a panic is contained into. The engine
+// recovers a panic wherever it runs one of the caller's functions — a
+// restart of Run, or a chunk of ParallelChunks / MapChunks on whichever
+// goroutine ran it — records the value and stack, and fails the call with
+// this error instead of crashing the process. A restart failure is wrapped
+// with its restart index, so the message still names the restart. Unwrap
+// exposes the panic value when it is itself an error, so errors.Is /
+// errors.As see through the containment (an injected faults.ModePanic still
+// matches faults.ErrInjected).
 type PanicError struct {
-	Restart int
-	Value   any
-	Stack   []byte
+	Value any
+	Stack []byte
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("engine: restart %d panicked: %v", e.Restart, e.Value)
+	return fmt.Sprintf("engine: panic: %v", e.Value)
 }
 
 // Unwrap returns the panic value if it was an error, nil otherwise.
@@ -96,15 +97,20 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
+// containPanic turns a recovered panic value into a *PanicError; it is
+// deferred as `defer containPanic(&err)` by every engine function that runs
+// caller code.
+func containPanic(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: debug.Stack()}
+	}
+}
+
 // safeCall invokes one restart with panic containment and the restart-launch
 // fault gate inside the recover scope (so an injected launch panic is
 // contained exactly like a panic from fn itself).
 func safeCall[R any](r int, rng *stats.RNG, fn func(restart int, rng *stats.RNG) (R, error)) (res R, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Restart: r, Value: v, Stack: debug.Stack()}
-		}
-	}()
+	defer containPanic(&err)
 	if gateErr := faults.Check(faults.SiteRestartLaunch); gateErr != nil {
 		var zero R
 		return zero, gateErr
@@ -209,7 +215,7 @@ func Run[R any](ctx context.Context, n, workers int, seed int64, fn func(restart
 	return results, nil
 }
 
-// Stream executes fn for restarts 0..n-1 like Run, but launches restarts
+// stream executes fn for restarts 0..n-1 like Run, but launches restarts
 // lazily and stops early once the incumbent best result has not improved for
 // `plateau` consecutive restarts. It returns the prefix of per-restart
 // results that was actually consumed (always at least min(plateau+1, n)
@@ -223,12 +229,12 @@ func Run[R any](ctx context.Context, n, workers int, seed int64, fn func(restart
 // function of (n, seed, plateau, fn) — byte-identical for every worker
 // count — and `better` must be a pure function of its arguments.
 //
-// plateau <= 0 disables early stopping: Stream degenerates to Run exactly
+// plateau <= 0 disables early stopping: stream degenerates to Run exactly
 // (all n restarts, identical results slice). Errors follow Run's contract:
 // the recorded failure with the lowest restart index wins, wrapped with that
 // index, except that failures beyond the stop point are discarded with the
 // results.
-func Stream[R any](ctx context.Context, n, workers int, seed int64, plateau int,
+func stream[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 	better func(a, b R) bool, fn func(restart int, rng *stats.RNG) (R, error)) ([]R, error) {
 	if plateau <= 0 {
 		return Run(ctx, n, workers, seed, fn)
@@ -362,11 +368,11 @@ func Stream[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 	return results[:consumed:consumed], nil
 }
 
-// Best returns the index of the best element under the strict `better`
+// best returns the index of the best element under the strict `better`
 // predicate. Ties keep the lowest index, so the selection is deterministic
 // and independent of how the results were produced. It returns -1 for an
 // empty slice.
-func Best[R any](results []R, better func(a, b R) bool) int {
+func best[R any](results []R, better func(a, b R) bool) int {
 	if len(results) == 0 {
 		return -1
 	}

@@ -175,12 +175,12 @@ func TestRunNilFunction(t *testing.T) {
 }
 
 func TestBestTiesKeepLowestIndex(t *testing.T) {
-	idx := Best([]int{3, 7, 7, 1}, func(a, b int) bool { return a > b })
+	idx := best([]int{3, 7, 7, 1}, func(a, b int) bool { return a > b })
 	if idx != 1 {
 		t.Fatalf("Best = %d, want 1 (first of the tied maxima)", idx)
 	}
-	if Best(nil, func(a, b int) bool { return a > b }) != -1 {
-		t.Fatal("Best(empty) != -1")
+	if best(nil, func(a, b int) bool { return a > b }) != -1 {
+		t.Fatal("best(empty) != -1")
 	}
 }
 
@@ -201,4 +201,51 @@ func TestConcurrentRuns(t *testing.T) {
 		}(int64(i))
 	}
 	wg.Wait()
+}
+
+// TestFitBestAndBudget: Fit normalizes the budget (Restarts <= 0 means one
+// restart), hands every restart the same intra-restart share of the worker
+// budget, returns every consumed result in restart order, and picks the
+// best with ties going to the lowest restart — for every worker count.
+func TestFitBestAndBudget(t *testing.T) {
+	scores := []int{3, 7, 7, 1}
+	for _, workers := range []int{1, 2, 8} {
+		b := Budget{Restarts: len(scores), Workers: workers}
+		best, all, err := Fit(context.Background(), b, 1, 0, func(a, b [2]int) bool { return a[1] > b[1] },
+			func(r int, _ *stats.RNG, intra int) ([2]int, error) {
+				if want := splitBudget(workers, len(scores)); intra != want {
+					t.Errorf("workers=%d: intra = %d, want %d", workers, intra, want)
+				}
+				return [2]int{r, scores[r]}, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best != [2]int{1, 7} || len(all) != len(scores) {
+			t.Fatalf("workers=%d: best %v of %d results, want restart 1 of %d", workers, best, len(all), len(scores))
+		}
+	}
+	calls := 0
+	if _, all, err := Fit(context.Background(), Budget{}, 1, 0, func(a, b int) bool { return a > b },
+		func(int, *stats.RNG, int) (int, error) { calls++; return 0, nil }); err != nil || calls != 1 || len(all) != 1 {
+		t.Fatalf("zero budget: %d calls, %d results, err %v; want one restart", calls, len(all), err)
+	}
+}
+
+// TestBudgetNormalized: unset fields take the algorithm's defaults, whose
+// own unset fields mean 1 restart and 512-element chunks; set fields and
+// Workers pass through.
+func TestBudgetNormalized(t *testing.T) {
+	for _, tc := range []struct {
+		b, def, want Budget
+	}{
+		{Budget{}, Budget{}, Budget{Restarts: 1, ChunkSize: 512}},
+		{Budget{Restarts: -1, Workers: 3, ChunkSize: -5}, Budget{}, Budget{Restarts: 1, Workers: 3, ChunkSize: 512}},
+		{Budget{}, Budget{Restarts: 2, ChunkSize: 32}, Budget{Restarts: 2, ChunkSize: 32}},
+		{Budget{Restarts: 4, ChunkSize: 64}, Budget{Restarts: 2, ChunkSize: 32}, Budget{Restarts: 4, ChunkSize: 64}},
+	} {
+		if got := tc.b.Normalized(tc.def); got != tc.want {
+			t.Errorf("%+v.Normalized(%+v) = %+v, want %+v", tc.b, tc.def, got, tc.want)
+		}
+	}
 }

@@ -33,7 +33,7 @@ func higher(a, b float64) bool { return a > b }
 func TestStreamPlateauStops(t *testing.T) {
 	scores := []float64{1, 0.5, 3, 2, 2.5, 9, 9, 9} // 5.. must be cut off
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := Stream(context.Background(), len(scores), workers, 1, 2, higher, streamScores(scores))
+		got, err := stream(context.Background(), len(scores), workers, 1, 2, higher, streamScores(scores))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -48,7 +48,7 @@ func TestStreamPlateauStops(t *testing.T) {
 // so the stream consumes every restart.
 func TestStreamNoPlateauRunsAll(t *testing.T) {
 	scores := []float64{1, 2, 3, 4, 5, 6}
-	got, err := Stream(context.Background(), len(scores), 4, 1, 1, higher, streamScores(scores))
+	got, err := stream(context.Background(), len(scores), 4, 1, 1, higher, streamScores(scores))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestStreamDisabledEqualsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, plateau := range []int{0, -1} {
-		streamed, err := Stream(context.Background(), 20, 4, 7, plateau,
+		streamed, err := stream(context.Background(), 20, 4, 7, plateau,
 			func(a, b []float64) bool { return a[0] > b[0] }, draw)
 		if err != nil {
 			t.Fatal(err)
@@ -95,12 +95,12 @@ func TestStreamWorkerCountInvariant(t *testing.T) {
 		}
 		return v, nil
 	}
-	serial, err := Stream(context.Background(), 40, 1, 99, 3, higher, draw)
+	serial, err := stream(context.Background(), 40, 1, 99, 3, higher, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8, 40} {
-		parallel, err := Stream(context.Background(), 40, workers, 99, 3, higher, draw)
+		parallel, err := stream(context.Background(), 40, workers, 99, 3, higher, draw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestStreamCancelsRemainder(t *testing.T) {
 		launched.Add(1)
 		return -float64(r), nil // restart 0 is best; nothing ever improves
 	}
-	got, err := Stream(context.Background(), n, workers, 1, 3, higher, scores)
+	got, err := stream(context.Background(), n, workers, 1, 3, higher, scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStreamCancelsRemainder(t *testing.T) {
 func TestStreamErrorPropagation(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		_, err := Stream(context.Background(), 32, workers, 1, 5, higher,
+		_, err := stream(context.Background(), 32, workers, 1, 5, higher,
 			func(r int, _ *stats.RNG) (float64, error) {
 				if r == 3 {
 					return 0, sentinel
@@ -162,7 +162,7 @@ func TestStreamErrorBeyondStopDiscarded(t *testing.T) {
 		}
 		return -float64(r), nil // stops after restarts 0..2
 	}
-	got, err := Stream(context.Background(), 64, 1, 1, 2, higher, scores)
+	got, err := stream(context.Background(), 64, 1, 1, 2, higher, scores)
 	if err != nil {
 		t.Fatalf("speculative failure surfaced: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestStreamContextCancellation(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := Stream(ctx, 1000, 2, 1, 50, higher, func(r int, _ *stats.RNG) (float64, error) {
+		_, err := stream(ctx, 1000, 2, 1, 50, higher, func(r int, _ *stats.RNG) (float64, error) {
 			select {
 			case started <- struct{}{}:
 			default:
@@ -198,15 +198,15 @@ func TestStreamContextCancellation(t *testing.T) {
 }
 
 func TestStreamEdgeCases(t *testing.T) {
-	if _, err := Stream[int](context.Background(), 3, 2, 1, 2, nil, func(int, *stats.RNG) (int, error) { return 0, nil }); err == nil {
+	if _, err := stream[int](context.Background(), 3, 2, 1, 2, nil, func(int, *stats.RNG) (int, error) { return 0, nil }); err == nil {
 		t.Error("nil better predicate accepted")
 	}
-	if _, err := Stream[int](context.Background(), 3, 2, 1, 2, func(a, b int) bool { return a > b }, nil); err == nil {
+	if _, err := stream[int](context.Background(), 3, 2, 1, 2, func(a, b int) bool { return a > b }, nil); err == nil {
 		t.Error("nil restart function accepted")
 	}
-	res, err := Stream(context.Background(), 0, 2, 1, 2, higher, streamScores(nil))
+	res, err := stream(context.Background(), 0, 2, 1, 2, higher, streamScores(nil))
 	if err != nil || res != nil {
-		t.Errorf("Stream(n=0) = (%v, %v), want (nil, nil)", res, err)
+		t.Errorf("stream(n=0) = (%v, %v), want (nil, nil)", res, err)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestParallelChunksCoverage(t *testing.T) {
 		for _, chunkSize := range []int{0, 1, 3, 64, 2000} {
 			for _, workers := range []int{1, 3, 8} {
 				visits := make([]atomic.Int64, total)
-				ParallelChunks(total, chunkSize, workers, func(_, lo, hi int) {
+				err := ParallelChunks(context.Background(), total, chunkSize, workers, func(_, lo, hi int) {
 					if lo < 0 || hi > total || lo >= hi {
 						t.Errorf("bad chunk [%d,%d) for total %d", lo, hi, total)
 					}
@@ -233,6 +233,9 @@ func TestParallelChunksCoverage(t *testing.T) {
 						visits[i].Add(1)
 					}
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i := range visits {
 					if n := visits[i].Load(); n != 1 {
 						t.Fatalf("total=%d chunk=%d workers=%d: index %d visited %d times",
@@ -250,7 +253,7 @@ func TestParallelChunksCoverage(t *testing.T) {
 func TestParallelChunksWorkerSlots(t *testing.T) {
 	const workers = 3
 	busy := make([]atomic.Bool, workers)
-	ParallelChunks(1000, 7, workers, func(w, lo, hi int) {
+	err := ParallelChunks(context.Background(), 1000, 7, workers, func(w, lo, hi int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker slot %d out of [0,%d)", w, workers)
 			return
@@ -261,6 +264,9 @@ func TestParallelChunksWorkerSlots(t *testing.T) {
 		}
 		defer busy[w].Store(false)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestParallelChunksInline: the serial path must not spawn goroutines (same
@@ -269,7 +275,7 @@ func TestParallelChunksWorkerSlots(t *testing.T) {
 func TestParallelChunksInline(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
-	ParallelChunks(10, 3, 1, func(w, lo, hi int) {
+	err := ParallelChunks(context.Background(), 10, 3, 1, func(w, lo, hi int) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
@@ -277,6 +283,9 @@ func TestParallelChunksInline(t *testing.T) {
 			t.Errorf("serial path used slot %d", w)
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if calls != 4 {
 		t.Fatalf("10/3 split into %d chunks, want 4", calls)
 	}

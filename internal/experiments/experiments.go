@@ -149,20 +149,12 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 // consecutive repeats (still judged in repeat order — the winner stays
 // worker-count invariant); 0 always runs all repeats.
 func bestOf(ctx context.Context, repeats, workers, earlyStop int, baseSeed int64, fn func(seed int64) (*cluster.Result, error)) (*cluster.Result, error) {
-	results, err := engine.Stream(ctx, repeats, workers, baseSeed, earlyStop,
+	best, _, err := engine.Fit(ctx, engine.Budget{Restarts: repeats, Workers: workers}, baseSeed, earlyStop,
 		cluster.BetterResult,
-		func(r int, _ *stats.RNG) (*cluster.Result, error) {
+		func(r int, _ *stats.RNG, _ int) (*cluster.Result, error) {
 			return fn(baseSeed + int64(r))
 		})
-	if err != nil {
-		return nil, err
-	}
-	if len(results) == 0 {
-		return nil, fmt.Errorf("experiments: bestOf with %d repeats", repeats)
-	}
-	return results[engine.Best(results, func(a, b *cluster.Result) bool {
-		return a.Better(a.Score, b.Score)
-	})], nil
+	return best, err
 }
 
 // parallelCells runs independent table cells (one closure each, writing to

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -35,7 +36,7 @@ func checkTable(t *testing.T, tb *Table, wantRows, wantCols int) {
 }
 
 func TestFigure1Table(t *testing.T) {
-	tb, err := Figure1()
+	tb, err := Figure1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestFigure1Table(t *testing.T) {
 }
 
 func TestFigure2Table(t *testing.T) {
-	tb, err := Figure2()
+	tb, err := Figure2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestFigure3TinyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-algorithm sweep")
 	}
-	tb, err := Figure3(tiny())
+	tb, err := Figure3(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestFigure4TinyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-algorithm sweep")
 	}
-	tb, err := Figure4(tiny())
+	tb, err := Figure4(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestOutlierImmunityTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	tb, err := OutlierImmunity(tiny())
+	tb, err := OutlierImmunity(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestFigure5TinyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("knowledge sweep")
 	}
-	tb, err := Figure5(tiny())
+	tb, err := Figure5(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestFigure6TinyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("knowledge sweep")
 	}
-	tb, err := Figure6(tiny())
+	tb, err := Figure6(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestFigure7TinyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multigroup sweep")
 	}
-	tb, err := Figure7(tiny())
+	tb, err := Figure7(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +178,12 @@ func TestFigure8Tiny(t *testing.T) {
 		t.Skip("timing sweep")
 	}
 	cfg := Config{Repeats: 1, Scale: 0.25, Seed: 3}
-	ta, err := Figure8a(cfg)
+	ta, err := Figure8a(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkTable(t, ta, 4, 2)
-	tb, err := Figure8b(cfg)
+	tb, err := Figure8b(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestSupervisionStylesTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-algorithm sweep")
 	}
-	tb, err := SupervisionStyles(tiny())
+	tb, err := SupervisionStyles(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestSubspaceBaselinesTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-algorithm sweep")
 	}
-	tb, err := SubspaceBaselines(tiny())
+	tb, err := SubspaceBaselines(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestNoisyInputsTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("knowledge sweep")
 	}
-	tb, err := NoisyInputs(Config{Repeats: 2, Scale: 0.4, Seed: 3})
+	tb, err := NoisyInputs(context.Background(), Config{Repeats: 2, Scale: 0.4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,9 @@ import (
 // dataset (paper: 1500 + 1500 = 3000 dimensions, 1% dimensionality each).
 // HARP, PROCLUS (with the true l), raw SSPC, and SSPC guided by inputs from
 // each grouping are evaluated against both ground truths.
-func Figure7(cfg Config) (*Table, error) { return Figure7Context(context.Background(), cfg) }
-
-// Figure7Context is Figure7 under a context; every fit follows the shared
-// cancellation contract.
-func Figure7Context(ctx context.Context, cfg Config) (*Table, error) {
+//
+// Every fit follows the shared cancellation contract.
+func Figure7(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	half := scaleInt(1500, cfg.Scale, 300)
 	lreal := half / 50 // 1% of the combined dimensionality = 2% of each half

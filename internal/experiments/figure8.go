@@ -76,11 +76,9 @@ func scalability(ctx context.Context, cfg Config, points [][2]int, label func(p 
 
 // Figure8a regenerates the dataset-size scalability series: execution time
 // of repeated SSPC and PROCLUS runs as n grows with d fixed (§5.5).
-func Figure8a(cfg Config) (*Table, error) { return Figure8aContext(context.Background(), cfg) }
-
-// Figure8aContext is Figure8a under a context; the timed fits follow the
-// shared cancellation contract.
-func Figure8aContext(ctx context.Context, cfg Config) (*Table, error) {
+//
+// The timed fits follow the shared cancellation contract.
+func Figure8a(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	base := scaleInt(1000, cfg.Scale, 250)
 	points := [][2]int{
@@ -93,11 +91,9 @@ func Figure8aContext(ctx context.Context, cfg Config) (*Table, error) {
 
 // Figure8b regenerates the dimensionality scalability series: execution
 // time as d grows with n fixed (§5.5).
-func Figure8b(cfg Config) (*Table, error) { return Figure8bContext(context.Background(), cfg) }
-
-// Figure8bContext is Figure8b under a context; the timed fits follow the
-// shared cancellation contract.
-func Figure8bContext(ctx context.Context, cfg Config) (*Table, error) {
+//
+// The timed fits follow the shared cancellation contract.
+func Figure8b(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	baseN := scaleInt(1000, cfg.Scale, 250)
 	points := [][2]int{

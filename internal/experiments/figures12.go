@@ -12,11 +12,9 @@ import (
 // at least one grid is formed by relevant dimensions only, as a function of
 // the number of labeled objects, for several d_i/d ratios. Parameters match
 // §4.5: d = 3000, p = 0.01, c = 3, g = 20, variance ratio 0.15.
-func Figure1() (*Table, error) { return Figure1Context(context.Background()) }
-
-// Figure1Context is Figure1 under a context; the analysis sums are cheap, so
-// cancellation is checked once per x-point.
-func Figure1Context(ctx context.Context) (*Table, error) {
+//
+// The analysis sums are cheap, so cancellation is checked once per x-point.
+func Figure1(ctx context.Context) (*Table, error) {
 	ratios := []float64{0.01, 0.02, 0.05, 0.10}
 	t := &Table{
 		Title:  "Figure 1: P(>=1 all-relevant grid) vs labeled objects |Io|",
@@ -49,11 +47,9 @@ func Figure1Context(ctx context.Context) (*Table, error) {
 // at least one grid has all building dimensions relevant to the target
 // cluster only, as a function of the number of labeled dimensions, with
 // k = 5.
-func Figure2() (*Table, error) { return Figure2Context(context.Background()) }
-
-// Figure2Context is Figure2 under a context; the analysis sums are cheap, so
-// cancellation is checked once per x-point.
-func Figure2Context(ctx context.Context) (*Table, error) {
+//
+// The analysis sums are cheap, so cancellation is checked once per x-point.
+func Figure2(ctx context.Context) (*Table, error) {
 	ratios := []float64{0.01, 0.02, 0.05, 0.10}
 	t := &Table{
 		Title:  "Figure 2: P(>=1 exclusive grid) vs labeled dimensions |Iv|",

@@ -108,11 +108,9 @@ var (
 // Figure3 regenerates the raw-accuracy comparison: best ARI of CLARANS,
 // HARP, PROCLUS, SSPC(m) and SSPC(p) on datasets with n = 1000, d = 100,
 // k = 5 and average cluster dimensionality 5..40 (§5.1).
-func Figure3(cfg Config) (*Table, error) { return Figure3Context(context.Background(), cfg) }
-
-// Figure3Context is Figure3 under a context; every cell's fits follow the
-// shared cancellation contract.
-func Figure3Context(ctx context.Context, cfg Config) (*Table, error) {
+//
+// Every cell's fits follow the shared cancellation contract.
+func Figure3(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	n := scaleInt(1000, cfg.Scale, 300)
 	const d, k = 100, 5
@@ -211,11 +209,9 @@ var (
 // l_real = 10 dataset: PROCLUS across 9 values of l versus SSPC across 9
 // values of m and of p (§5.1, Figure 4). Each cell is the best-of-repeats
 // (by the algorithm's own objective) ARI at that parameter value.
-func Figure4(cfg Config) (*Table, error) { return Figure4Context(context.Background(), cfg) }
-
-// Figure4Context is Figure4 under a context; every cell's fits follow the
-// shared cancellation contract.
-func Figure4Context(ctx context.Context, cfg Config) (*Table, error) {
+//
+// Every cell's fits follow the shared cancellation contract.
+func Figure4(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	n := scaleInt(1000, cfg.Scale, 300)
 	const d, k, lreal = 100, 5, 10
@@ -278,13 +274,9 @@ func Figure4Context(ctx context.Context, cfg Config) (*Table, error) {
 // OutlierImmunity regenerates the §5.2 study (whose figures the paper
 // omits): SSPC accuracy and detected-outlier counts as the injected outlier
 // fraction grows from 0% to 25%.
-func OutlierImmunity(cfg Config) (*Table, error) {
-	return OutlierImmunityContext(context.Background(), cfg)
-}
-
-// OutlierImmunityContext is OutlierImmunity under a context; every cell's
-// fits follow the shared cancellation contract.
-func OutlierImmunityContext(ctx context.Context, cfg Config) (*Table, error) {
+//
+// Every cell's fits follow the shared cancellation contract.
+func OutlierImmunity(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	n := scaleInt(1000, cfg.Scale, 300)
 	const d, k, lreal = 100, 5, 10

@@ -71,11 +71,9 @@ func fig5Dataset(cfg Config) (*synth.GroundTruth, error) {
 // Figure5 regenerates the input-size sweep at full coverage: accuracy of
 // SSPC with 0..8 labeled objects and/or dimensions per cluster on the 1%
 // dimensionality dataset.
-func Figure5(cfg Config) (*Table, error) { return Figure5Context(context.Background(), cfg) }
-
-// Figure5Context is Figure5 under a context; every fit follows the shared
-// cancellation contract.
-func Figure5Context(ctx context.Context, cfg Config) (*Table, error) {
+//
+// Every fit follows the shared cancellation contract.
+func Figure5(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	gt, err := fig5Dataset(cfg)
 	if err != nil {
@@ -108,11 +106,9 @@ func Figure5Context(ctx context.Context, cfg Config) (*Table, error) {
 
 // Figure6 regenerates the coverage sweep at input size 6: accuracy of SSPC
 // when only a fraction of the classes receive inputs.
-func Figure6(cfg Config) (*Table, error) { return Figure6Context(context.Background(), cfg) }
-
-// Figure6Context is Figure6 under a context; every fit follows the shared
-// cancellation contract.
-func Figure6Context(ctx context.Context, cfg Config) (*Table, error) {
+//
+// Every fit follows the shared cancellation contract.
+func Figure6(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	gt, err := fig5Dataset(cfg)
 	if err != nil {

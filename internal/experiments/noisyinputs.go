@@ -17,11 +17,9 @@ import (
 // SSPC runs (a) trusting the noisy knowledge and (b) after validating and
 // discarding suspect entries with ValidateKnowledge. Labeled objects are
 // removed before computing the ARI, as in the §5.3 protocol.
-func NoisyInputs(cfg Config) (*Table, error) { return NoisyInputsContext(context.Background(), cfg) }
-
-// NoisyInputsContext is NoisyInputs under a context; every fit follows the
-// shared cancellation contract.
-func NoisyInputsContext(ctx context.Context, cfg Config) (*Table, error) {
+//
+// Every fit follows the shared cancellation contract.
+func NoisyInputs(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	d := scaleInt(1000, cfg.Scale, 400)
 	gt, err := synth.Generate(synth.Config{

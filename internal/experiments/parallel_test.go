@@ -91,13 +91,13 @@ func TestParallelCells(t *testing.T) {
 func TestSupervisionStylesWorkersInvariance(t *testing.T) {
 	serialCfg := tiny()
 	serialCfg.Workers = 1
-	serial, err := SupervisionStyles(serialCfg)
+	serial, err := SupervisionStyles(context.Background(), serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallelCfg := tiny()
 	parallelCfg.Workers = 4
-	parallel, err := SupervisionStyles(parallelCfg)
+	parallel, err := SupervisionStyles(context.Background(), parallelCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +112,13 @@ func TestSupervisionStylesWorkersInvariance(t *testing.T) {
 func TestFigure4WorkersInvariance(t *testing.T) {
 	serialCfg := tiny()
 	serialCfg.Workers = 1
-	serial, err := Figure4(serialCfg)
+	serial, err := Figure4(context.Background(), serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallelCfg := tiny()
 	parallelCfg.Workers = 4
-	parallel, err := Figure4(parallelCfg)
+	parallel, err := Figure4(context.Background(), parallelCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,13 +26,9 @@ import (
 // k-means-family baselines are full-space algorithms, and the point of the
 // table is how supervision styles compare, not how projected clusters
 // defeat full-space methods.
-func SupervisionStyles(cfg Config) (*Table, error) {
-	return SupervisionStylesContext(context.Background(), cfg)
-}
-
-// SupervisionStylesContext is SupervisionStyles under a context; every cell's
-// fits follow the shared cancellation contract.
-func SupervisionStylesContext(ctx context.Context, cfg Config) (*Table, error) {
+//
+// Every cell's fits follow the shared cancellation contract.
+func SupervisionStyles(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	n := scaleInt(600, cfg.Scale, 200)
 	const d, k, lreal = 20, 3, 16
@@ -136,13 +132,9 @@ func seedKMeansBest(ctx context.Context, gt *synth.GroundTruth, kn *dataset.Know
 // dimensionality grows on a low-d dataset (CLIQUE's bottom-up search is
 // exponential in the subspace dimensionality, so the comparison lives where
 // all three are feasible).
-func SubspaceBaselines(cfg Config) (*Table, error) {
-	return SubspaceBaselinesContext(context.Background(), cfg)
-}
-
-// SubspaceBaselinesContext is SubspaceBaselines under a context; every cell's
-// fits follow the shared cancellation contract.
-func SubspaceBaselinesContext(ctx context.Context, cfg Config) (*Table, error) {
+//
+// Every cell's fits follow the shared cancellation contract.
+func SubspaceBaselines(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	n := scaleInt(400, cfg.Scale, 200)
 	const d, k = 10, 3

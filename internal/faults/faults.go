@@ -8,8 +8,8 @@
 // When a test arms the registry with Enable, each site counts its hits with
 // an atomic counter and triggers its plan's fault once the count reaches the
 // plan's After threshold: ModeError returns a typed *InjectedError, ModePanic
-// panics with an *InjectedPanic (contained at the engine's restart boundary
-// into a *engine.PanicError), ModeDelay sleeps. Thresholds can be derived
+// panics with an *InjectedPanic (contained at the engine's chunk or restart
+// boundary into a *engine.PanicError), ModeDelay sleeps. Thresholds can be derived
 // deterministically from a seed with DerivePlan, so a seeded chaos matrix
 // replays the same failure at the same hit every run.
 //
@@ -29,16 +29,16 @@ import (
 // production code; TestFaultsSitesExercised pins that arming each one
 // actually fires.
 const (
-	// SiteRestartLaunch fires in engine.Run / engine.Stream immediately
-	// before a restart function is invoked.
+	// SiteRestartLaunch fires in the engine's restart loops (engine.Run,
+	// engine.Fit) immediately before a restart function is invoked.
 	SiteRestartLaunch = "engine/restart-launch"
 	// SiteChunkExec fires in the engine chunk scheduler before each chunk
-	// of a ParallelChunks / MapChunks family call is dispatched.
+	// of an engine.ParallelChunks / engine.MapChunks call is dispatched.
 	SiteChunkExec = "engine/chunk-exec"
 	// SiteShardGather fires in dataset.GatherRows / dataset.GatherColumn,
 	// the bulk accessors every columnar kernel reads shards through. The
 	// hook is in a void hot path, so ModeError surfaces as a panic carrying
-	// the *InjectedError, contained at the restart boundary.
+	// the *InjectedError, contained at the chunk or restart boundary.
 	SiteShardGather = "dataset/shard-gather"
 	// SiteMmapOpen fires in binfmt.OpenBinary before the mmap-backed
 	// dataset is mapped and verified.
@@ -217,8 +217,8 @@ func Check(site string) error {
 
 // MustCheck is Check for void hot paths that cannot return an error
 // (dataset's bulk gathers): an injected error is raised as a panic carrying
-// the *InjectedError, which the engine's restart-boundary containment turns
-// back into a typed error.
+// the *InjectedError, which the engine's chunk- or restart-boundary
+// containment turns back into a typed error.
 func MustCheck(site string) {
 	if !armed.Load() {
 		return

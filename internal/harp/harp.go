@@ -42,22 +42,16 @@ type Options struct {
 	// order in which clusters are scanned, which breaks ties between
 	// equally good merges and decides which mutual pairs merge when a batch
 	// would overshoot K. Seed randomizes that scan order and Restarts runs
-	// several such randomized orders concurrently (on up to Workers
-	// goroutines), keeping the highest-scoring clustering. Seed = 0 with
-	// Restarts <= 1 is the canonical published order. Restart r derives its
-	// RNG from engine.ChildSeed(Seed, r); the worker count never changes
-	// the result. Workers beyond the restart count parallelize the
-	// per-node merge-proposal scans inside each restart.
-	Seed     int64
-	Restarts int
-	Workers  int
+	// several such randomized orders, keeping the highest-scoring
+	// clustering. Seed = 0 with Restarts <= 1 is the canonical published
+	// order.
+	Seed int64
 
-	// ChunkSize is the number of active nodes per unit of intra-restart
-	// work in the chunked merge-proposal scan. Chunk boundaries are fixed
-	// by this value alone, so any ChunkSize produces byte-identical output;
-	// it only tunes scheduling granularity. <= 0 means a default of 32
-	// (each node's scan is O(active·d), far heavier than a per-point scan).
-	ChunkSize int
+	// Budget sets the scan-order restarts, the worker budget and the chunk
+	// size of the merge-proposal scan, which chunks active nodes: each
+	// node's scan is O(active·d), far heavier than a per-point scan, so
+	// ChunkSize defaults to 32 (see engine.Budget).
+	engine.Budget
 }
 
 // DefaultOptions returns a configuration matching the published defaults.
@@ -102,21 +96,14 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if opts.ReportR <= 0 || opts.ReportR >= 1 {
 		opts.ReportR = 0.5
 	}
-	restarts := opts.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 32
-	}
 	// ChunkSize deliberately stays un-aligned to dataset shards
 	// (engine.AlignChunk): HARP chunks *active nodes*, not rows — every
 	// node's scan reads member rows across all shards regardless of chunk
 	// boundaries, so alignment would buy no locality while inflating node
 	// chunks past the proposeMerges parallel threshold.
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	results, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed,
-		func(restart int, rng *stats.RNG) (*cluster.Result, error) {
+	opts.Budget = opts.Budget.Normalized(engine.Budget{ChunkSize: 32})
+	_, all, err := engine.Fit(ctx, opts.Budget, opts.Seed, 0, cluster.BetterResult,
+		func(restart int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			var order []int
 			if opts.Seed != 0 || restart > 0 {
 				order = rng.Perm(n)
@@ -126,7 +113,7 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if err != nil {
 		return nil, err
 	}
-	return cluster.BestResult(results), nil
+	return cluster.BestResult(all), nil
 }
 
 // runOnce executes one agglomerative merge pass. order permutes the initial
@@ -200,7 +187,10 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, order []int
 			}
 			iterations++
 			act := activeNodes(nodes)
-			bestPartner := proposeMerges(act, evalMerge, rmin, dmin, intra, opts.ChunkSize)
+			bestPartner, err := proposeMerges(ctx, act, evalMerge, rmin, dmin, intra, opts.ChunkSize)
+			if err != nil {
+				return nil, err
+			}
 			merged := 0
 			for i, a := range act {
 				bj := bestPartner[i]
@@ -311,8 +301,8 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, order []int
 // partners in ascending index order there too, with the same strict-improve
 // tie-break. Evaluating each pair in (lower, higher) argument order keeps
 // the merged-variance floating point of evalMerge identical as well.
-func proposeMerges(act []*node, evalMerge func(a, b *node, rmin float64) (int, float64),
-	rmin float64, dmin, workers, chunkSize int) []int {
+func proposeMerges(ctx context.Context, act []*node, evalMerge func(a, b *node, rmin float64) (int, float64),
+	rmin float64, dmin, workers, chunkSize int) ([]int, error) {
 	bestPartner := make([]int, len(act))
 	bestScore := make([]float64, len(act))
 	for i := range bestPartner {
@@ -344,9 +334,9 @@ func proposeMerges(act []*node, evalMerge func(a, b *node, rmin float64) (int, f
 				}
 			}
 		}
-		return bestPartner
+		return bestPartner, nil
 	}
-	engine.ParallelChunks(len(act), chunkSize, workers, func(_, lo, hi int) {
+	err := engine.ParallelChunks(ctx, len(act), chunkSize, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < len(act); j++ {
 				if j == i {
@@ -367,7 +357,7 @@ func proposeMerges(act []*node, evalMerge func(a, b *node, rmin float64) (int, f
 			}
 		}
 	})
-	return bestPartner
+	return bestPartner, err
 }
 
 func activeNodes(nodes []*node) []*node {

@@ -58,9 +58,16 @@ func TestFindDimensionsPicksRelevantOnes(t *testing.T) {
 		members := gt.MembersOfClass(c)
 		medoids[c] = members[len(members)/2]
 	}
-	dims := findDimensions(gt.Data, medoids, opts, 1)
+	dims, err := findDimensions(context.Background(), gt.Data, medoids, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The per-medoid chunked path must reproduce the serial pass exactly.
-	if par := findDimensions(gt.Data, medoids, opts, 8); !dimsEqual(dims, par) {
+	par, err := findDimensions(context.Background(), gt.Data, medoids, opts, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dimsEqual(dims, par) {
 		t.Errorf("findDimensions workers=8 diverged from workers=1:\n  1: %v\n  8: %v", dims, par)
 	}
 	total := 0

@@ -51,18 +51,10 @@ type Options struct {
 
 	Seed int64
 
-	// Restarts is the number of independent randomized runs; the result
-	// with the lowest PROCLUS cost is returned (ties keep the lowest
-	// restart index). <= 0 means 1. Restart r derives its RNG from
-	// engine.ChildSeed(Seed, r).
-	Restarts int
-
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over (when Workers >
-	// Restarts) parallelize the chunked point loops (assignment, dimension
-	// refinement, outlier marking) inside each restart. <= 0 means
-	// runtime.GOMAXPROCS(0). The worker count never changes the result.
-	Workers int
+	// Budget sets the restarts, the worker budget and the chunk size of
+	// the point loops (assignment, dimension refinement, outlier marking);
+	// the result with the lowest PROCLUS cost wins (see engine.Budget).
+	engine.Budget
 
 	// EarlyStop, when > 0, streams the restarts instead of running a fixed
 	// best-of-Restarts: restarts launch lazily and the run stops once the
@@ -71,12 +63,6 @@ type Options struct {
 	// value). Restarts stays the hard cap. 0 (the default) runs all
 	// Restarts unconditionally.
 	EarlyStop int
-
-	// ChunkSize is the number of objects per unit of intra-restart work in
-	// the chunked point loops. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only tunes
-	// scheduling granularity. <= 0 means a default of 512.
-	ChunkSize int
 }
 
 // DefaultOptions mirrors the constants of the original paper.
@@ -121,15 +107,7 @@ func (o Options) normalized(ds *dataset.Dataset) (Options, error) {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 60
 	}
-	if o.Restarts <= 0 {
-		o.Restarts = 1
-	}
-	if o.EarlyStop < 0 {
-		o.EarlyStop = 0
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 512
-	}
+	o.Budget = o.Budget.Normalized(engine.Budget{})
 	// On a shard-backed dataset, chunk = shard: each worker's scan stays
 	// inside one shard's backing memory. Output is unchanged either way.
 	o.ChunkSize = engine.AlignChunk(o.ChunkSize, ds.ShardRows())
@@ -157,17 +135,14 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if err != nil {
 		return nil, err
 	}
-	intra := engine.SplitBudget(opts.Workers, opts.Restarts)
-	// Stream degenerates to Run's fixed fan-out when EarlyStop <= 0.
-	results, err := engine.Stream(ctx, opts.Restarts, opts.Workers,
-		opts.Seed, opts.EarlyStop, cluster.BetterResult,
-		func(_ int, rng *stats.RNG) (*cluster.Result, error) {
+	_, all, err := engine.Fit(ctx, opts.Budget, opts.Seed, opts.EarlyStop, cluster.BetterResult,
+		func(_ int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, opts, rng, intra)
 		})
 	if err != nil {
 		return nil, err
 	}
-	return cluster.BestResult(results), nil
+	return cluster.BestResult(all), nil
 }
 
 // runOnce executes one randomized PROCLUS run with its own RNG,
@@ -197,7 +172,10 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 			return nil, err
 		}
 		iterations++
-		dims := findDimensions(ds, medoids, opts, intra)
+		dims, err := findDimensions(ctx, ds, medoids, opts, intra)
+		if err != nil {
+			return nil, err
+		}
 		cost, err := assignPoints(ctx, ds, medoids, dims, assign, intra, opts.ChunkSize)
 		if err != nil {
 			return nil, err
@@ -248,15 +226,23 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 		return nil, err
 	}
 	if bestDims == nil {
-		bestDims = findDimensions(ds, bestMedoids, opts, intra)
+		var err error
+		if bestDims, err = findDimensions(ctx, ds, bestMedoids, opts, intra); err != nil {
+			return nil, err
+		}
 	}
-	refined := refineDimensions(ds, bestMedoids, bestAssign, opts, intra)
+	refined, err := refineDimensions(ctx, ds, bestMedoids, bestAssign, opts, intra)
+	if err != nil {
+		return nil, err
+	}
 	finalCost, err := assignPoints(ctx, ds, bestMedoids, refined, bestAssign, intra, opts.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
 	if opts.OutlierHandling {
-		markOutliers(ds, bestMedoids, refined, bestAssign, intra, opts.ChunkSize)
+		if err := markOutliers(ctx, ds, bestMedoids, refined, bestAssign, intra, opts.ChunkSize); err != nil {
+			return nil, err
+		}
 	}
 
 	res := &cluster.Result{
@@ -349,12 +335,12 @@ func greedyPiercing(ds *dataset.Dataset, rng *stats.RNG, opts Options) []int {
 // so they run one medoid per chunk across the intra-restart workers; within
 // a medoid the accumulation stays in ascending point order, so X (and the
 // returned dimension sets) are bit-identical for every worker count.
-func findDimensions(ds *dataset.Dataset, medoids []int, opts Options, workers int) [][]int {
+func findDimensions(ctx context.Context, ds *dataset.Dataset, medoids []int, opts Options, workers int) ([][]int, error) {
 	k := len(medoids)
 	d := ds.D()
 	X := make([][]float64, k)
 
-	engine.ParallelChunks(k, 1, workers, func(_, lo, hi int) {
+	err := engine.ParallelChunks(ctx, k, 1, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m := medoids[i]
 			// δ_i: distance to the nearest other medoid (all dimensions).
@@ -390,8 +376,10 @@ func findDimensions(ds *dataset.Dataset, medoids []int, opts Options, workers in
 			}
 		}
 	})
-
-	return distributeDimensions(X, d, opts)
+	if err != nil {
+		return nil, err
+	}
+	return distributeDimensions(X, d, opts), nil
 }
 
 // distributeDimensions turns the per-cluster average-distance matrix X into
@@ -470,7 +458,7 @@ func assignPoints(ctx context.Context, ds *dataset.Dataset, medoids []int, dims 
 	for i, m := range medoids {
 		medoidRows[i] = ds.Row(m)
 	}
-	if err := engine.ParallelChunksCtx(ctx, n, chunkSize, workers, func(_, lo, hi int) {
+	if err := engine.ParallelChunks(ctx, n, chunkSize, workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			best := math.Inf(1)
 			arg := 0
@@ -490,7 +478,7 @@ func assignPoints(ctx context.Context, ds *dataset.Dataset, medoids []int, dims 
 	// sums its members in ascending point order; an empty or dimensionless
 	// cluster contributes exactly 0.0, which leaves the non-negative running
 	// sum bit-identical to skipping it.
-	cost, err := engine.MapChunksCtx(ctx, k, 1, workers, func(_, lo, hi int) float64 {
+	cost, err := engine.MapChunks(ctx, k, 1, workers, nil, func(_, lo, hi int) float64 {
 		sum := 0.0
 		for i := lo; i < hi; i++ {
 			var members []int
@@ -522,7 +510,7 @@ func assignPoints(ctx context.Context, ds *dataset.Dataset, medoids []int, dims 
 // accumulation order of the serial single pass, since a point only ever
 // contributes to its own cluster's row — and writes only X[c]/counts[c].
 // Serially the single O(n·d) pass stays cheaper than k per-cluster scans.
-func refineDimensions(ds *dataset.Dataset, medoids []int, assign []int, opts Options, workers int) [][]int {
+func refineDimensions(ctx context.Context, ds *dataset.Dataset, medoids []int, assign []int, opts Options, workers int) ([][]int, error) {
 	k := len(medoids)
 	d := ds.D()
 	X := make([][]float64, k)
@@ -559,7 +547,7 @@ func refineDimensions(ds *dataset.Dataset, medoids []int, assign []int, opts Opt
 		scratch := engine.NewScratch(workers, func() *gatherScratch {
 			return &gatherScratch{members: make([]int, 0, len(assign))}
 		})
-		engine.ParallelChunks(k, 1, workers, func(worker, lo, hi int) {
+		err := engine.ParallelChunks(ctx, k, 1, workers, func(worker, lo, hi int) {
 			s := scratch.Get(worker)
 			for c := lo; c < hi; c++ {
 				members := s.members[:0]
@@ -587,6 +575,9 @@ func refineDimensions(ds *dataset.Dataset, medoids []int, assign []int, opts Opt
 				counts[c] = len(members)
 			}
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	for i := 0; i < k; i++ {
 		if counts[i] == 0 {
@@ -596,14 +587,14 @@ func refineDimensions(ds *dataset.Dataset, medoids []int, assign []int, opts Opt
 			X[i][j] /= float64(counts[i])
 		}
 	}
-	return distributeDimensions(X, d, opts)
+	return distributeDimensions(X, d, opts), nil
 }
 
 // markOutliers discards points outside every medoid's sphere of influence:
 // the smallest segmental distance from the medoid to any other medoid in
 // the cluster's subspace. The per-point membership test runs chunked over
 // fixed point ranges; each chunk writes only its own assign slots.
-func markOutliers(ds *dataset.Dataset, medoids []int, dims [][]int, assign []int, workers, chunkSize int) {
+func markOutliers(ctx context.Context, ds *dataset.Dataset, medoids []int, dims [][]int, assign []int, workers, chunkSize int) error {
 	k := len(medoids)
 	radius := make([]float64, k)
 	for i := 0; i < k; i++ {
@@ -618,7 +609,7 @@ func markOutliers(ds *dataset.Dataset, medoids []int, dims [][]int, assign []int
 			}
 		}
 	}
-	engine.ParallelChunks(len(assign), chunkSize, workers, func(_, lo, hi int) {
+	return engine.ParallelChunks(ctx, len(assign), chunkSize, workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			inside := false
 			for i := 0; i < k; i++ {

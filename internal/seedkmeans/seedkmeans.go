@@ -35,33 +35,18 @@ type Options struct {
 	MaxIterations int
 	Seed          int64
 
-	// Restarts is the number of independent randomized restarts; the result
-	// with the lowest cost is returned (ties keep the lowest restart index).
-	// <= 0 means 1. Restart r derives its RNG from engine.ChildSeed(Seed, r),
-	// so restart 0 reproduces the historical single-run output. Restarts only
-	// differ when some cluster has no seeds — a fully seeded run is
-	// deterministic and every restart returns the same result.
-	Restarts int
-
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over parallelize the
-	// chunked assignment scan inside each restart. <= 0 means
-	// runtime.GOMAXPROCS(0). The worker count never changes the result.
-	Workers int
+	// Budget sets the restarts (restart 0 reproduces the historical
+	// single-run output; restarts only differ when some cluster has no
+	// seeds — a fully seeded run is deterministic), the worker budget, and
+	// the chunk size of the assignment scan, shard-aligned on a shard-backed
+	// dataset (see engine.Budget). The result with the lowest cost wins.
+	engine.Budget
 
 	// EarlyStop, when > 0, streams the restarts: they launch lazily and the
 	// run stops once the best cost has not improved for EarlyStop
 	// consecutive restarts (judged in restart-index order), with Restarts as
 	// the hard cap. 0 runs the fixed best-of-Restarts protocol.
 	EarlyStop int
-
-	// ChunkSize is the number of objects per unit of work in the chunked
-	// assignment scan. Chunk boundaries are fixed by this value alone, so
-	// any ChunkSize produces byte-identical output; it only tunes scheduling
-	// granularity. <= 0 means a default of 512. On a shard-backed dataset
-	// the chunk size aligns to the shard row count (engine.AlignChunk), so
-	// each worker's scan stays inside one shard's backing memory.
-	ChunkSize int
 }
 
 // DefaultOptions returns the seeded variant for k clusters.
@@ -92,13 +77,7 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, kn *dataset.Knowledge,
 	if err := kn.Validate(n, d, opts.K); err != nil {
 		return nil, err
 	}
-	restarts := opts.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
+	opts.Budget = opts.Budget.Normalized(engine.Budget{})
 	opts.ChunkSize = engine.AlignChunk(opts.ChunkSize, ds.ShardRows())
 
 	// Per-restart-invariant supervision state, computed once and shared
@@ -117,16 +96,14 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, kn *dataset.Knowledge,
 		}
 	}
 
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	results, err := engine.Stream(ctx, restarts, opts.Workers, opts.Seed,
-		opts.EarlyStop, cluster.BetterResult,
-		func(_ int, rng *stats.RNG) (*cluster.Result, error) {
+	_, all, err := engine.Fit(ctx, opts.Budget, opts.Seed, opts.EarlyStop, cluster.BetterResult,
+		func(_ int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, opts, seedMeans, clamped, rng, intra)
 		})
 	if err != nil {
 		return nil, err
 	}
-	return cluster.BestResult(results), nil
+	return cluster.BestResult(all), nil
 }
 
 // runOnce is one restart: seed the centroids, then alternate the chunked
@@ -160,7 +137,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, seedMeans [
 		// ascending object order — the exact addition sequence of the
 		// historical serial loop, so the result is byte-identical for every
 		// Workers/ChunkSize value.
-		if err := engine.ParallelChunksCtx(ctx, n, opts.ChunkSize, workers, func(_, lo, hi int) {
+		if err := engine.ParallelChunks(ctx, n, opts.ChunkSize, workers, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if c, ok := clamped[i]; ok {
 					assign[i] = c

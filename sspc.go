@@ -19,28 +19,31 @@
 //
 // Every randomized algorithm here (SSPC, PROCLUS, CLARANS, DOC, and HARP's
 // randomized scan orders) runs its independent restarts through a shared
-// worker-pool engine. Each Options struct exposes two knobs:
+// worker-pool engine, and every Options struct embeds the same worker
+// budget (engine.Budget), documented and defaulted in one place:
 //
 //   - Restarts: the number of independent randomized runs; the best result
-//     by the algorithm's own objective is returned. For CLARANS it overrides
-//     the paper's NumLocal, which is the same knob under another name.
-//   - Workers: the maximum number of restarts executed concurrently; <= 0
-//     means runtime.GOMAXPROCS(0).
+//     by the algorithm's own objective is returned. <= 0 means 1, except
+//     for CLARANS, where it means the paper's numlocal default of 2 local
+//     searches.
+//   - Workers: the total goroutine budget; <= 0 means
+//     runtime.GOMAXPROCS(0). Up to min(Workers, Restarts) restarts run
+//     concurrently, and the budget left over is spent inside each restart
+//     on the algorithm's hot loops — SSPC's O(n·K·|V|) assignment and
+//     dimension re-selection, PROCLUS's assignment / dimension-refinement /
+//     outlier passes, DOC's box-membership scans, HARP's per-node
+//     merge-proposal scans, CLARANS's final assignment — chunked over
+//     fixed ranges.
+//   - ChunkSize: the elements per chunk of those loops (<= 0 means 512;
+//     HARP, whose chunks are active nodes, 32). Any value gives identical
+//     output.
 //
-// Every algorithm also parallelizes inside each restart, and the
-// restart-based searches can stream their restarts adaptively:
-//
-//   - Workers beyond the restart count are spent on each algorithm's hot
-//     point loops — SSPC's O(n·K·|V|) assignment and dimension
-//     re-selection, PROCLUS's assignment / dimension-refinement / outlier
-//     passes, DOC's box-membership scans, HARP's per-node merge-proposal
-//     scans, CLARANS's final assignment — chunked over fixed ranges
-//     (Options.ChunkSize elements per chunk; any value gives identical
-//     output).
-//   - Options.EarlyStop > 0 (SSPC, PROCLUS, DOC) launches restarts lazily
-//     and stops once the best objective has not improved for that many
-//     consecutive restarts, with Restarts as the hard cap. EarlyStop = 0
-//     (the default) runs the fixed best-of-Restarts protocol.
+// The restart-based searches can also stream their restarts adaptively:
+// Options.EarlyStop > 0 (SSPC, PROCLUS, DOC, COP-KMeans, Seed-KMeans)
+// launches restarts lazily and stops once the best objective has not
+// improved for that many consecutive restarts, with Restarts as the hard
+// cap. EarlyStop = 0 (the default) runs the fixed best-of-Restarts
+// protocol.
 //
 // Results are a pure function of (dataset, options): restart r derives its
 // RNG from a splitmix-style child of Options.Seed, results — and the
